@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import histrisk.backtest as backtest
 from histrisk import (
     DEFAULT_GRID,
     InputError,
@@ -11,9 +12,12 @@ from histrisk import (
     QuantileConvention,
     ReturnSeries,
     RiskSpec,
+    SkippedPair,
     rolling_var_forecasts,
     run_suite,
+    tce,
     tce_backtest,
+    var,
     var_backtest,
 )
 
@@ -249,6 +253,88 @@ def test_tce_predicted_at_least_var_nonstrict():
     assert row.mean_error is not None
 
 
+def window_oracle(values, spec):
+    """Forecasts, violations and TCE block counts from the library's per-window var/tce."""
+    n, alpha, conv, strict = spec.duration_n, spec.level, spec.conv, spec.strict_violation
+    forecasts = [var(values[t - n:t], alpha, conv) for t in range(n, len(values))]
+    violations = sum(
+        (r < -f) if strict else (r <= -f) for r, f in zip(values[n:], forecasts)
+    )
+    blocks = [(start, tce(values[start - n:start], alpha, conv, strict))
+              for start in range(n, len(values) - n + 1, n)]
+    defined = [start for start, predicted in blocks if predicted is not None]
+    nonexistent = sum(
+        not any((r < -forecasts[start - n]) if strict else (r <= -forecasts[start - n])
+                for r in values[start:start + n])
+        for start in defined
+    )
+    return forecasts, violations, len(defined), nonexistent, len(blocks) - len(defined)
+
+
+@pytest.mark.parametrize("n", [2, 7])
+@pytest.mark.parametrize("length", ["n+1", "2n", "3n-1", "3n"])
+@pytest.mark.parametrize("strict", [True, False])
+def test_kernels_at_edge_lengths(n, length, strict):
+    # n+1: a single evaluation day; 2n and 3n-1: a single TCE block, the
+    # partial one dropped; 3n: two blocks
+    size = {"n+1": n + 1, "2n": 2 * n, "3n-1": 3 * n - 1, "3n": 3 * n}[length]
+    values = np.round(np.random.default_rng(size * n).normal(size=size), 1)
+    spec = RiskSpec(n, Level(0.75), SMALLEST, strict)
+    series = make_series(values)
+    forecasts, violations, evaluated, nonexistent, undefined = window_oracle(values, spec)
+
+    assert [v for _, v in rolling_var_forecasts(series, spec)] == forecasts
+    row = var_backtest(series, spec)
+    assert (row.evaluation_days, row.violations) == (size - n, violations)
+    if size < 2 * n:
+        return
+    assert evaluated + undefined == size // n - 1
+    if evaluated == 0:
+        with pytest.raises(InputError, match="undefined"):
+            tce_backtest(series, spec)
+    else:
+        row = tce_backtest(series, spec)
+        assert (row.blocks_total, row.blocks_nonexistent, row.blocks_undefined_prediction) == (
+            evaluated, nonexistent, undefined,
+        )
+
+
+@pytest.mark.parametrize("chunk_elems", [1, 9, 36])
+def test_rank_pass_chunking_matches_single_chunk(monkeypatch, chunk_elems):
+    # n=9 over 203 evaluation days: a chunk constant below n still takes one
+    # window per chunk, 9 gives one window too, and 36 gives 50 chunks of 4
+    # windows plus a remainder of 3
+    rng = np.random.default_rng(55)
+    series = make_series(np.round(rng.normal(size=212), 1))
+    specs = [RiskSpec(9, Level(a), conv, strict)
+             for a in (0.5, 0.9, 0.99) for conv in (LARGEST, SMALLEST) for strict in (True, False)]
+    whole = [(var_backtest(series, spec), rolling_var_forecasts(series, spec)) for spec in specs]
+    monkeypatch.setattr(backtest, "_CHUNK_ELEMS", chunk_elems)
+    assert [(var_backtest(series, spec), rolling_var_forecasts(series, spec)) for spec in specs] == whole
+    assert [v for _, v in whole[0][1]] == window_oracle(series.returns, specs[0])[0]
+
+
+def test_rolling_forecasts_never_negative_zero():
+    series = make_series([0.0, 0.01, -0.0, 0.0, 0.0, -0.0])
+    values = [v for _, v in rolling_var_forecasts(series, RiskSpec(3, Level(0.5)))]
+    assert values == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
+
+
+def test_run_suite_every_block_undefined_is_skipped():
+    rng = np.random.default_rng(47)
+    series = make_series(rng.normal(size=40), asset="edge")
+    spec = RiskSpec(10, Level(0.95), LARGEST, strict_violation=True)
+    report = run_suite([series], [spec])
+    assert len(report.var_rows) == 1
+    assert report.tce_rows == ()
+    assert report.skips == (SkippedPair(
+        "edge", spec, "tce",
+        "edge: predicted tail expectation undefined for every block "
+        "(duration 10, level 0.95, strict conditioning)",
+    ),)
+
+
 def test_run_suite_cardinality_and_order():
     rng = np.random.default_rng(51)
     series_b = make_series(rng.normal(size=120), asset="bbb")
@@ -320,6 +406,19 @@ def test_risk_spec_labels():
     assert RiskSpec(250, Level(0.95)).label() == "250,95%"
     assert RiskSpec(100, Level(0.99)).label() == "100,99%"
     assert RiskSpec(20, Level(0.975)).label() == "20,97.5%"
+
+
+def test_run_suite_rejects_labels_that_name_no_spec():
+    series = make_series(np.random.default_rng(56).normal(size=30))
+    # six significant digits: 10,99.9999% for both, and 10,100% reads back as 1.0
+    for alpha in (0.9999991, 0.9999992, 0.9999999):
+        with pytest.raises(InputError, match="report label"):
+            run_suite([series], [RiskSpec(10, Level(alpha))])
+    # 0.999 reads back as 0.9990000000000001, within the tolerance
+    report = run_suite([series], [RiskSpec(10, Level(0.999))])
+    assert [spec.label() for spec in report.specs] == ["10,99.9%"]
+    with pytest.raises(InputError, match="share the report label '10,90%'"):
+        run_suite([series], [RiskSpec(10, Level(0.9), LARGEST), RiskSpec(10, Level(0.9), SMALLEST)])
 
 
 def test_risk_spec_validation():

@@ -144,7 +144,7 @@ def test_backtest_requires_exactly_one_source(tmp_path, capsys):
 def test_backtest_bad_spec_flag(tmp_path, capsys):
     rng = np.random.default_rng(67)
     write_returns_csv(tmp_path / "a.csv", rng.normal(0, 0.01, 50))
-    for bad in ("abc", "10", "10:2.0", "1:0.9"):
+    for bad in ("abc", "10", "10:2.0", "1:0.9", "10:0.9999999"):
         rc = main([
             "backtest", "--returns", str(tmp_path / "a.csv"),
             "--spec", bad, "--out", str(tmp_path / "o"),
