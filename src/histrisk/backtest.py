@@ -65,6 +65,29 @@ DEFAULT_GRID: tuple[tuple[int, float], ...] = (
 )
 
 
+def checked_series(
+    asset_id: str, dates: Iterable[dt.date], values: object, what: str
+) -> tuple[tuple[dt.date, ...], np.ndarray]:
+    """Check a dated series of ``what``; return its dates as a tuple, its values as a read-only copy."""
+    arr = np.array(values, dtype=float)
+    dates = tuple(dates)
+    if not asset_id:
+        raise InputError("asset_id must be non-empty")
+    if arr.ndim != 1:
+        raise InputError(f"{asset_id}: {what} must be one-dimensional")
+    if arr.size != len(dates):
+        raise InputError(f"{asset_id}: got {len(dates)} dates but {arr.size} {what}")
+    if arr.size == 0:
+        raise InputError(f"{asset_id}: {what} must contain at least one row")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{asset_id}: {what} contain non-finite values")
+    for prev, curr in zip(dates, dates[1:]):
+        if curr <= prev:
+            raise InputError(f"{asset_id}: dates must be strictly increasing: {curr} does not follow {prev}")
+    arr.flags.writeable = False
+    return dates, arr
+
+
 @dataclass(frozen=True)
 class ReturnSeries:
     """Dated daily returns for one asset, strictly increasing dates."""
@@ -74,25 +97,8 @@ class ReturnSeries:
     returns: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.returns, dtype=float)
-        dates = tuple(self.dates)
-        if not self.asset_id:
-            raise InputError("asset_id must be non-empty")
-        if arr.ndim != 1:
-            raise InputError(f"{self.asset_id}: returns must be one-dimensional")
-        if arr.size != len(dates):
-            raise InputError(f"{self.asset_id}: got {len(dates)} dates but {arr.size} returns")
-        if arr.size == 0:
-            raise InputError(f"{self.asset_id}: return series must contain at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"{self.asset_id}: returns contain non-finite values")
-        for prev, curr in zip(dates, dates[1:]):
-            if curr <= prev:
-                raise InputError(
-                    f"{self.asset_id}: dates must be strictly increasing: {curr} does not follow {prev}"
-                )
-        arr.flags.writeable = False
-        object.__setattr__(self, "returns", arr)
+        dates, returns = checked_series(self.asset_id, self.dates, self.returns, "returns")
+        object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "dates", dates)
 
     def __len__(self) -> int:
@@ -122,6 +128,17 @@ class RiskSpec:
     def label(self) -> str:
         """Row label in the reporting tables, e.g. '250,95%'."""
         return f"{self.duration_n},{self.level.alpha * 100:g}%"
+
+
+def parse_label(label: str) -> tuple[int, float]:
+    """Read a report label back: '250,95%' -> (250, 0.95)."""
+    parts = label.split(",")
+    if len(parts) == 2 and parts[1].endswith("%"):
+        try:
+            return int(parts[0]), float(parts[1].rstrip("%")) / 100.0
+        except ValueError:
+            pass
+    raise InputError(f"invalid spec label {label!r}, expected e.g. '250,95%'")
 
 
 @dataclass(frozen=True)
@@ -279,7 +296,7 @@ def _check_labels(specs: Sequence[RiskSpec]) -> None:
     seen: dict[str, RiskSpec] = {}
     for spec in specs:
         label = spec.label()
-        parsed = float(label.split(",")[1].rstrip("%")) / 100.0
+        _, parsed = parse_label(label)
         if abs(parsed - spec.level.alpha) > 1e-9:
             raise InputError(
                 f"level {spec.level.alpha!r} does not survive its report label {label!r} "

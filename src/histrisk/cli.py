@@ -1,9 +1,12 @@
 """Command-line interface: backtest reports, error regressions, axiom demo.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal error.  Report
-files are written atomically (temp file + rename) after all inputs parse, so
-a failing run leaves no partial output.  Output is byte-deterministic: fixed
-cell formats, sorted rows and columns, no timestamps.
+Exit codes: 0 success, 1 invalid input or usage, 2 internal error.  All four
+report files are rendered and written to unique temp files in the output
+directory before any is renamed over its target, so a run failing before the
+renames (bad input, a directory at a target path, a failed write) leaves the
+old files byte for byte and no temp file.  Each rename is atomic, the set is
+not: runs sharing an output directory can interleave their renames.  Output is
+byte-deterministic: fixed cell formats, sorted rows and columns, no timestamps.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .backtest import DEFAULT_GRID, ReturnSeries, RiskSpec, SuiteReport, run_suite
+from .backtest import DEFAULT_GRID, ReturnSeries, RiskSpec, SuiteReport, parse_label, run_suite
 from .errors import InputError
 from .ingestion import ReturnMethod, parse_prices, parse_returns, to_returns
 from .measures import (
@@ -78,14 +81,12 @@ def build_parser() -> _Parser:
 
 def _parse_spec_flag(raw: str) -> tuple[int, float]:
     parts = raw.split(":")
-    if len(parts) != 2:
-        raise InputError(f"invalid --spec {raw!r}: expected N:ALPHA, e.g. 100:0.99")
-    try:
-        n = int(parts[0])
-        alpha = float(parts[1])
-    except ValueError:
-        raise InputError(f"invalid --spec {raw!r}: expected N:ALPHA, e.g. 100:0.99") from None
-    return n, alpha
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), float(parts[1])
+        except ValueError:
+            pass
+    raise InputError(f"invalid --spec {raw!r}: expected N:ALPHA, e.g. 100:0.99")
 
 
 def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
@@ -100,18 +101,10 @@ def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
 
 
 def _load_series(args: argparse.Namespace) -> list[ReturnSeries]:
-    paths = [Path(p) for p in (args.prices or args.returns)]
-    stems = [p.stem for p in paths]
-    if len(set(stems)) != len(stems):
-        dupes = sorted({s for s in stems if stems.count(s) > 1})
-        raise InputError(f"duplicate asset ids from file names: {', '.join(dupes)}")
     method = ReturnMethod(args.method)
     out: list[ReturnSeries] = []
-    for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+    for path in map(Path, args.prices or args.returns):
+        text = path.read_text(encoding="utf-8")
         if args.prices:
             out.append(to_returns(parse_prices(text, path.stem), method))
         else:
@@ -146,11 +139,24 @@ def _render_md(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, Se
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, content: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
-    os.replace(tmp, path)
+def _write_all(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file to a unique temp file in out_dir, then rename the temps over the targets."""
+    for name in files:
+        if (out_dir / name).is_dir():
+            raise IsADirectoryError(f"cannot write {out_dir / name}: it is a directory")
+    temps: list[Path] = []
+    try:
+        for name, content in files.items():
+            # exclusive create honours the umask, unlike tempfile.mkstemp's 0600
+            tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
+            with open(tmp, "x", encoding="utf-8", newline="") as handle:
+                temps.append(tmp)
+                handle.write(content)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, out_dir / name)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]]:
@@ -180,7 +186,7 @@ def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]
     return tables
 
 
-def _render_metadata(report: SuiteReport, args: argparse.Namespace, input_names: list[str]) -> str:
+def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
     first = report.specs[0]
     lines = [
         f"tool = histrisk {__version__}",
@@ -190,7 +196,7 @@ def _render_metadata(report: SuiteReport, args: argparse.Namespace, input_names:
         f"return_method = {args.method if args.prices else 'precomputed'}",
         f"format = {args.format}",
         "assets = " + " ".join(report.asset_ids),
-        "inputs = " + " ".join(sorted(input_names)),
+        "inputs = " + " ".join(sorted(Path(p).name for p in (args.prices or args.returns))),
         "specs = " + " ".join(spec.label() for spec in report.specs),
     ]
     for skip in report.skips:
@@ -206,16 +212,12 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     render = _render_csv if args.format == "csv" else _render_md
-    ext = "csv" if args.format == "csv" else "md"
     tables = _render_tables(report)
-    for name in _TABLE_BASENAMES:
-        path = out_dir / f"{name}.{ext}"
-        _write_atomic(path, render("spec", report.asset_ids, tables[name]))
-        print(f"wrote {path}")
-    input_names = [Path(p).name for p in (args.prices or args.returns)]
-    meta_path = out_dir / "metadata.txt"
-    _write_atomic(meta_path, _render_metadata(report, args, input_names))
-    print(f"wrote {meta_path}")
+    files = {f"{name}.{args.format}": render("spec", report.asset_ids, rows) for name, rows in tables.items()}
+    files["metadata.txt"] = _render_metadata(report, args)
+    _write_all(out_dir, files)
+    for name in files:
+        print(f"wrote {out_dir / name}")
     return 0
 
 
@@ -233,15 +235,10 @@ def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, lis
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise InputError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        label = row[0].strip()
-        parts = label.split(",")
-        if len(parts) != 2 or not parts[1].endswith("%"):
-            raise InputError(f"line {line_no}: invalid spec label {label!r}, expected e.g. '250,95%'")
         try:
-            duration = int(parts[0])
-            level = float(parts[1].rstrip("%")) / 100.0
-        except ValueError:
-            raise InputError(f"line {line_no}: invalid spec label {label!r}") from None
+            duration, level = parse_label(row[0].strip())
+        except InputError as exc:
+            raise InputError(f"line {line_no}: {exc}") from None
         rows.append((duration, level, [cell.strip() for cell in row[1:]]))
     if not rows:
         raise InputError("error table has no data rows")
@@ -281,12 +278,7 @@ def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    path = Path(args.table)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    assets, rows = _parse_error_table(text)
+    assets, rows = _parse_error_table(Path(args.table).read_text(encoding="utf-8"))
     if args.assets:
         selected = [name for raw in args.assets for name in raw.split(",") if name]
         unknown = [name for name in selected if name not in assets]
@@ -350,10 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "regress":
             return _cmd_regress(args)
         return _cmd_axioms(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (_UsageError, InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps everything else to 2

@@ -2,8 +2,8 @@
 
 Files are two-column CSV with an exact header (``date,price`` or
 ``date,return``), ISO dates, strictly increasing, one row per trading day.
-Every rejection names the offending 1-based line number; nothing is silently
-dropped, reordered or deduplicated.
+Every rejection names the 1-based number of the first bad line; nothing is
+silently dropped, reordered or deduplicated.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .backtest import ReturnSeries
+from .backtest import ReturnSeries, checked_series
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -38,21 +38,10 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.prices, dtype=float)
-        dates = tuple(self.dates)
-        if arr.ndim != 1:
-            raise InputError("prices must be one-dimensional")
-        if arr.size != len(dates):
-            raise InputError(f"got {len(dates)} dates but {arr.size} prices")
-        if arr.size == 0:
-            raise InputError("price series must contain at least one row")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise InputError("prices must be finite and strictly positive")
-        for prev, curr in zip(dates, dates[1:]):
-            if curr <= prev:
-                raise InputError(f"dates must be strictly increasing: {curr} does not follow {prev}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "prices", arr)
+        dates, prices = checked_series(self.asset_id, self.dates, self.prices, "prices")
+        if np.any(prices <= 0.0):
+            raise InputError(f"{self.asset_id}: prices must be strictly positive")
+        object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "dates", dates)
 
     def __len__(self) -> int:
@@ -62,18 +51,16 @@ class PriceSeries:
 def _parse_rows(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date], list[float]]:
     """Shared reader for both schemas; returns parallel date and value lists."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{asset_id}: line 1: expected header 'date,{value_column}', file is empty")
+    if [cell.strip() for cell in header] != ["date", value_column]:
+        raise InputError(
+            f"{asset_id}: line 1: expected header 'date,{value_column}', got {','.join(header)!r}"
+        )
     dates: list[dt.date] = []
     values: list[float] = []
-    expected_header = ["date", value_column]
-    saw_header = False
-    for line_no, row in enumerate(reader, start=1):
-        if line_no == 1:
-            if [cell.strip() for cell in row] != expected_header:
-                raise InputError(
-                    f"{asset_id}: line 1: expected header 'date,{value_column}', got {','.join(row)!r}"
-                )
-            saw_header = True
-            continue
+    for line_no, row in enumerate(reader, start=2):
         if len(row) != 2:
             raise InputError(f"{asset_id}: line {line_no}: expected 2 fields, got {len(row)}")
         raw_date, raw_value = row[0].strip(), row[1].strip()
@@ -93,10 +80,10 @@ def _parse_rows(text: str, value_column: str, asset_id: str) -> tuple[list[dt.da
             raise InputError(
                 f"{asset_id}: line {line_no}: date {day} must be after the preceding date {dates[-1]}"
             )
+        if value_column == "price" and value <= 0.0:
+            raise InputError(f"{asset_id}: line {line_no}: price must be positive, got {value!r}")
         dates.append(day)
         values.append(value)
-    if not saw_header:
-        raise InputError(f"{asset_id}: line 1: expected header 'date,{value_column}', file is empty")
     if not dates:
         raise InputError(f"{asset_id}: no rows after the header")
     return dates, values
@@ -104,18 +91,14 @@ def _parse_rows(text: str, value_column: str, asset_id: str) -> tuple[list[dt.da
 
 def parse_prices(text: str, asset_id: str) -> PriceSeries:
     """Parse ``date,price`` CSV content into a validated PriceSeries."""
-    dates, raw = _parse_rows(text, "price", asset_id)
-    for i, price in enumerate(raw):
-        if price <= 0.0:
-            # recompute the data line number: header is line 1
-            raise InputError(f"{asset_id}: line {i + 2}: price must be positive, got {price!r}")
-    return PriceSeries(asset_id=asset_id, dates=tuple(dates), prices=np.asarray(raw, dtype=float))
+    dates, prices = _parse_rows(text, "price", asset_id)
+    return PriceSeries(asset_id=asset_id, dates=dates, prices=prices)
 
 
 def parse_returns(text: str, asset_id: str) -> ReturnSeries:
     """Parse ``date,return`` CSV content into a validated ReturnSeries."""
-    dates, raw = _parse_rows(text, "return", asset_id)
-    return ReturnSeries(asset_id=asset_id, dates=tuple(dates), returns=np.asarray(raw, dtype=float))
+    dates, returns = _parse_rows(text, "return", asset_id)
+    return ReturnSeries(asset_id=asset_id, dates=dates, returns=returns)
 
 
 def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) -> ReturnSeries:

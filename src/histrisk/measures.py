@@ -141,18 +141,21 @@ def quantile_index(n: int, level: Level | float, conv: QuantileConvention) -> in
     return min(max(k, 1), n) - 1
 
 
+def _quantile(sample: Sample | Sequence[float], level: Level | float, conv: QuantileConvention) -> float:
+    """The order statistic backing the quantile convention, by partial sort."""
+    s = _as_sample(sample)
+    k = quantile_index(len(s), level, conv)
+    return float(np.partition(s.values, k)[k])
+
+
 def largest_alpha_quantile(sample: Sample | Sequence[float], level: Level | float) -> float:
     """Infimum of x with empirical P[X <= x] > 1 - alpha."""
-    s = _as_sample(sample)
-    ordered = np.sort(s.values)
-    return float(ordered[quantile_index(len(s), level, QuantileConvention.LARGEST)])
+    return _quantile(sample, level, QuantileConvention.LARGEST)
 
 
 def smallest_alpha_quantile(sample: Sample | Sequence[float], level: Level | float) -> float:
     """Infimum of x with empirical P[X <= x] >= 1 - alpha."""
-    s = _as_sample(sample)
-    ordered = np.sort(s.values)
-    return float(ordered[quantile_index(len(s), level, QuantileConvention.SMALLEST)])
+    return _quantile(sample, level, QuantileConvention.SMALLEST)
 
 
 def var(
@@ -161,10 +164,7 @@ def var(
     conv: QuantileConvention = QuantileConvention.LARGEST,
 ) -> float:
     """Historical value-at-risk: the negated alpha-quantile of the sample."""
-    s = _as_sample(sample)
-    ordered = np.sort(s.values)
-    q = float(ordered[quantile_index(len(s), level, conv)])
-    return -q + 0.0  # normalize -0.0
+    return -_quantile(sample, level, conv) + 0.0  # normalize -0.0
 
 
 def var_discrete(dist: DiscreteDistribution, level: Level | float) -> float:

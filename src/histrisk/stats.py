@@ -1,10 +1,10 @@
 """Two-regressor least squares and the Student-t tail, self-contained.
 
-The regression is deliberately tiny (intercept + duration + level), so the
-normal equations are solved directly with 3x3 Gaussian elimination instead of
-pulling in a linear-algebra-plus-distributions stack.  The t survival function
-is computed from the regularized incomplete beta via a modified Lentz
-continued fraction.
+The regression is deliberately tiny (intercept + duration + level): numpy's
+QR factorization X = QR gives the coefficients from R b = Q'y and the slope
+variances from (X'X)^-1 = R^-1 R^-T, without forming X'X or pulling in a
+distributions stack.  The t survival function is computed from the
+regularized incomplete beta via a modified Lentz continued fraction.
 """
 
 from __future__ import annotations
@@ -39,31 +39,6 @@ class RegressionSummary:
     residual_df: int
 
 
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
-
-    Raises SingularDesignError naming the design column whose pivot collapses
-    below _PIVOT_RTOL times the largest diagonal of the original matrix.
-    """
-    m = a.shape[0]
-    aug = np.hstack([a.astype(float).copy(), b.astype(float).copy()])
-    tol = _PIVOT_RTOL * float(np.max(np.abs(np.diag(a))))
-    for j in range(m):
-        pivot_row = j + int(np.argmax(np.abs(aug[j:, j])))
-        if abs(aug[pivot_row, j]) <= tol:
-            raise SingularDesignError(
-                f"design matrix is rank deficient: column '{_DESIGN_COLUMNS[j]}' "
-                f"is linearly dependent on the preceding columns"
-            )
-        if pivot_row != j:
-            aug[[j, pivot_row]] = aug[[pivot_row, j]]
-        aug[j] = aug[j] / aug[j, j]
-        for i in range(m):
-            if i != j and aug[i, j] != 0.0:
-                aug[i] = aug[i] - aug[i, j] * aug[j]
-    return aug[:, m:]
-
-
 def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     """Fit error = b0 + b1 * duration + b2 * level by least squares.
 
@@ -82,12 +57,17 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
 
     y = arr[:, 0]
     design = np.column_stack([np.ones(m), arr[:, 1], arr[:, 2]])
-    xtx = design.T @ design
-    xty = design.T @ y
-
-    solved = _gauss_solve(xtx, np.column_stack([xty, np.eye(3)]))
-    coef = solved[:, 0]
-    xtx_inv = solved[:, 1:]
+    q, r = np.linalg.qr(design)
+    # R'R = X'X, so R_jj**2 is the j-th elimination pivot of X'X
+    tol = _PIVOT_RTOL * float(np.max((design * design).sum(axis=0)))
+    for j, pivot in enumerate(np.diag(r) ** 2):
+        if pivot <= tol:
+            raise SingularDesignError(
+                f"design matrix is rank deficient: column '{_DESIGN_COLUMNS[j]}' "
+                f"is linearly dependent on the preceding columns"
+            )
+    r_inv = np.linalg.inv(r)
+    coef = r_inv @ (q.T @ y)
 
     fitted = design @ coef
     residuals = y - fitted
@@ -105,7 +85,7 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     sigma2 = sse / residual_df
 
     def slope_p(j: int) -> float:
-        se = math.sqrt(max(sigma2 * float(xtx_inv[j, j]), 0.0))
+        se = math.sqrt(max(sigma2 * float(r_inv[j] @ r_inv[j]), 0.0))
         if se == 0.0:
             return 0.0 if coef[j] != 0.0 else 1.0
         return 2.0 * student_t_sf(abs(float(coef[j])) / se, residual_df)

@@ -23,10 +23,11 @@ from histrisk import (
     tce_backtest,
     var_backtest,
 )
+from histrisk.backtest import parse_label
 from histrisk.measures import quantile_index
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -179,3 +180,23 @@ def test_run_suite_matches_loops_with_mixed_specs(assets, spec_keys, spec_rest):
                 assert_tce_row_matches(row, returns)
     for rest in (var_rows, tce_rows, skips):
         assert next(rest, None) is None
+
+
+LABEL_SERIES = ReturnSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), np.array([0.01, -0.02]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(2, 10**5),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+)
+@example(n=10, alpha=0.975)
+@example(n=10, alpha=0.9999999)  # labelled 10,100%
+def test_label_round_trip_or_rejected(n, alpha):
+    spec = RiskSpec(n, Level(alpha))
+    parsed_n, parsed_alpha = parse_label(spec.label())
+    if parsed_n == n and abs(parsed_alpha - alpha) <= 1e-9:
+        run_suite([LABEL_SERIES], [spec])
+    else:
+        with pytest.raises(InputError, match="report label"):
+            run_suite([LABEL_SERIES], [spec])

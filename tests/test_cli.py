@@ -3,6 +3,7 @@ import datetime as dt
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,8 +117,54 @@ def test_backtest_missing_file_no_partial_output(tmp_path, capsys):
     out = tmp_path / "report"
     rc = main(["backtest", "--returns", str(tmp_path / "absent.csv"), "--out", str(out)])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and str(tmp_path / "absent.csv") in err
     assert not out.exists()
+
+
+class _FullDiskHandle:
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["write", "directory"])
+def test_backtest_failed_third_file_keeps_previous_set(tmp_path, capsys, monkeypatch, failure):
+    rng = np.random.default_rng(70)
+    write_returns_csv(tmp_path / "a.csv", rng.normal(0, 0.01, 120))
+    out = tmp_path / "report"
+    base = ["backtest", "--returns", str(tmp_path / "a.csv"), "--out", str(out)]
+    assert main(base + ["--spec", "20:0.9"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 4
+    if failure == "write":
+        # the third file (tce_errors.csv) fails after its temp file exists
+        opened = []
+
+        def full_disk_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            opened.append(path)
+            return _FullDiskHandle(handle) if len(opened) == 3 else handle
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    else:
+        (out / "tce_errors.csv").unlink()
+        (out / "tce_errors.csv").mkdir()
+        del before["tce_errors.csv"]
+    capsys.readouterr()
+    assert main(base + ["--spec", "50:0.9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert after == before
 
 
 def test_backtest_bad_ingestion_line_reported(tmp_path, capsys):
@@ -246,6 +293,16 @@ def test_regress_rank_deficient_level(tmp_path, capsys):
 def test_regress_missing_table(tmp_path, capsys):
     rc = main(["regress", str(tmp_path / "nope.csv")])
     assert rc == 1
+    assert str(tmp_path / "nope.csv") in capsys.readouterr().err
+
+
+def test_regress_invalid_spec_label(tmp_path, capsys):
+    for label in ("10;90%", "x,90%", "10,90", "10,9x%"):
+        lines = ["spec,one", f'"{label}",+0.1'] + [f'"{n},90%",+0.1' for n in (20, 50, 100, 250)]
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["regress", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: invalid spec label {label!r}" in err, label
 
 
 def test_axioms_output(capsys):
@@ -284,6 +341,7 @@ def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "histrisk", "axioms"],
         capture_output=True, text=True, timeout=120,
+        cwd=Path(cli.__file__).resolve().parents[1],  # the package under test, not an installed one
     )
     assert proc.returncode == 0
     assert "VaR(diversified) = 1.000000" in proc.stdout

@@ -135,3 +135,15 @@ def test_price_series_validation():
         PriceSeries("x", (dt.date(2020, 1, 1),), np.array([1.0, 2.0]))
     with pytest.raises(InputError):
         PriceSeries("x", (dt.date(2020, 1, 1),), np.array([-1.0]))
+
+
+def test_parse_prices_first_bad_line_wins():
+    # a zero price on line 2 is reported before the decreasing date on line 4
+    text = "date,price\n2010-01-04,0.0\n2010-01-05,101.0\n2010-01-01,102.0\n"
+    with pytest.raises(InputError, match="line 2: price must be positive"):
+        parse_prices(text, "x")
+
+
+def test_price_series_rejects_empty_asset_id():
+    with pytest.raises(InputError, match="asset_id"):
+        PriceSeries("", (dt.date(2020, 1, 1),), np.array([1.0]))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +103,61 @@ def test_rank_deficient_duration_column():
         ols2(make_rows([50.0] * 4, levels, [1.0, 2.0, 3.0, 4.0]))
 
 
+def test_rank_deficient_level_linear_in_duration():
+    # level = 0.5 + duration / 64 holds exactly in binary floating point
+    durations = [2.0, 4.0, 6.0, 8.0, 10.0]
+    levels = [0.5 + d / 64.0 for d in durations]
+    with pytest.raises(SingularDesignError, match="level"):
+        ols2(make_rows(durations, levels, [1.0, 3.0, 2.0, 5.0, 4.0]))
+
+
+def exact_ols(rows):
+    """Coefficients of the normal equations solved in exact rational arithmetic."""
+    x = [(Fraction(1), Fraction(d), Fraction(a)) for _, d, a in rows]
+    y = [Fraction(e) for e, _, _ in rows]
+    aug = [[sum(r[i] * r[j] for r in x) for j in range(3)] + [sum(r[i] * v for r, v in zip(x, y))]
+           for i in range(3)]
+    for j in range(3):
+        for i in range(3):
+            if i != j:
+                factor = aug[i][j] / aug[j][j]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[j])]
+    return [aug[j][3] / aug[j][j] for j in range(3)]
+
+
+def test_matches_exact_rational_solve():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        m = int(rng.integers(4, 14))
+        rows = list(zip(
+            np.round(rng.normal(size=m), 6).tolist(),
+            rng.choice([5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 500.0], m).tolist(),
+            rng.choice([0.9, 0.95, 0.975, 0.99], m).tolist(),
+        ))
+        try:
+            exact = exact_ols(rows)
+        except ZeroDivisionError:
+            with pytest.raises(SingularDesignError):
+                ols2(rows)
+            continue
+        summary = ols2(rows)
+        fitted = (summary.intercept, summary.coef_duration, summary.coef_level)
+        scale = max(1.0, *(abs(float(b)) for b in exact))
+        for got, want in zip(fitted, exact):
+            assert got == pytest.approx(float(want), abs=1e-9 * scale)
+
+
+def test_half_way_intercept_rounds_like_exact_solve():
+    # var_errors rows of one asset of a 4-spec tick-size backtest: the exact
+    # intercept is -10.40793450000001505..., just past the half-way point
+    # between -10.407934 and -10.407935, so six decimals must read -10.407935
+    rows = [(0.727973, 5.0, 0.9), (-0.043009, 10.0, 0.9), (0.913983, 10.0, 0.95), (-0.0006, 20.0, 0.9)]
+    exact = exact_ols(rows)[0]
+    half_way = Fraction(-104079345, 10**7)
+    assert half_way - Fraction(1, 10**13) < exact < half_way
+    assert f"{ols2(rows).intercept:+.6f}" == "-10.407935"
+
+
 def test_insufficient_rows():
     with pytest.raises(InputError, match="insufficient rows"):
         ols2([(1.0, 10.0, 0.9), (2.0, 20.0, 0.95), (3.0, 50.0, 0.99)])
@@ -166,3 +222,12 @@ def test_t_sf_validation():
         student_t_sf(1.0, 0)
     with pytest.raises(InputError):
         student_t_sf(float("nan"), 5)
+
+
+def test_t_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for df in (1, 2, 3, 5, 10, 30, 60, 1_000, 100_000, 10_000_000):
+        for t in np.linspace(-40.0, 40.0, 321):
+            want = float(stats.t.sf(t, df))
+            if want > 1e-12:
+                assert student_t_sf(float(t), df) == pytest.approx(want, rel=1e-7), (t, df)
