@@ -10,6 +10,10 @@ judged against a forecast computed from the n days strictly before it.
   A block with zero violations has no realized tail mean -- the tail
   expectation "did not exist" there -- and is counted, not errored.
 
+One function per kind, ``_var_result`` and ``_tce_result``, returns a pair's
+row or the reason it is skipped (too few returns, or no defined prediction):
+``run_suite`` records the reason, ``var_backtest`` and ``tce_backtest`` raise it.
+
 Both backtests are computed by vectorised kernels rather than per-day loops.
 With q_(k) the 0-based k-th order statistic of the window w preceding day t,
 
@@ -32,13 +36,15 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .measures import Level, QuantileConvention, _as_level, quantile_index
+from .measures import Level, QuantileConvention, _as_level, _checked_array, quantile_index
+
+_Row = TypeVar("_Row")
 
 # Window elements compared per chunk in the rolling kernels.  On a 2-CPU x86
 # host, chunks of 2**14 to 2**20 elements ran equally fast, but 1 MiB
@@ -69,22 +75,15 @@ def checked_series(
     asset_id: str, dates: Iterable[dt.date], values: object, what: str
 ) -> tuple[tuple[dt.date, ...], np.ndarray]:
     """Check a dated series of ``what``; return its dates as a tuple, its values as a read-only copy."""
-    arr = np.array(values, dtype=float)
-    dates = tuple(dates)
     if not asset_id:
         raise InputError("asset_id must be non-empty")
-    if arr.ndim != 1:
-        raise InputError(f"{asset_id}: {what} must be one-dimensional")
+    arr = _checked_array(values, f"{asset_id}: {what}")
+    dates = tuple(dates)
     if arr.size != len(dates):
         raise InputError(f"{asset_id}: got {len(dates)} dates but {arr.size} {what}")
-    if arr.size == 0:
-        raise InputError(f"{asset_id}: {what} must contain at least one row")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{asset_id}: {what} contain non-finite values")
     for prev, curr in zip(dates, dates[1:]):
         if curr <= prev:
             raise InputError(f"{asset_id}: dates must be strictly increasing: {curr} does not follow {prev}")
-    arr.flags.writeable = False
     return dates, arr
 
 
@@ -197,17 +196,22 @@ def _violation_counts(returns: np.ndarray, n: int, strict: bool) -> np.ndarray:
     return np.cumsum(rank_counts)
 
 
-def _require_var_length(series: ReturnSeries, n: int) -> None:
-    if len(series) <= n:
-        raise InputError(
-            f"{series.asset_id}: need at least {n + 1} returns for duration {n}, got {len(series)}"
-        )
+def _var_shortfall(series: ReturnSeries, n: int) -> str | None:
+    """Why ``series`` has no VaR evaluation day at duration n, or None when it has one."""
+    return f"{len(series)} returns < required {n + 1}" if len(series) <= n else None
+
+
+def _or_raise(result: _Row | str) -> _Row:
+    """``result`` itself, unless it is a skip reason: that is raised as an InputError."""
+    if isinstance(result, str):
+        raise InputError(result)
+    return result
 
 
 def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt.date, float]]:
     """Daily VaR forecasts as (date, var) pairs, dated by the day being forecast."""
     n = spec.duration_n
-    _require_var_length(series, n)
+    _or_raise(_var_shortfall(series, n))
     k = quantile_index(n, spec.level, spec.conv)
     quantiles = np.concatenate([
         np.partition(windows, k, axis=1)[:, k] for windows, _ in _window_chunks(series.returns, n)
@@ -216,9 +220,18 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     return list(zip(series.dates[n:], values.tolist()))
 
 
-def _var_row(series: ReturnSeries, spec: RiskSpec, violation_counts: np.ndarray) -> VarBacktestRow:
+def _var_result(
+    series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray]
+) -> VarBacktestRow | str:
+    """The VaR row of one pair or its skip reason; ``counts`` caches rank passes by (duration, strictness)."""
     n = spec.duration_n
-    violations = int(violation_counts[quantile_index(n, spec.level, spec.conv)])
+    reason = _var_shortfall(series, n)
+    if reason is not None:
+        return reason
+    key = (n, spec.strict_violation)
+    if key not in counts:
+        counts[key] = _violation_counts(series.returns, *key)
+    violations = int(counts[key][quantile_index(n, spec.level, spec.conv)])
     evaluation_days = len(series) - n
     observed_rate = violations / evaluation_days
     tail_probability = 1.0 - spec.level.alpha
@@ -233,29 +246,11 @@ def _var_row(series: ReturnSeries, spec: RiskSpec, violation_counts: np.ndarray)
     )
 
 
-def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
-    """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    n = spec.duration_n
-    _require_var_length(series, n)
-    return _var_row(series, spec, _violation_counts(series.returns, n, spec.strict_violation))
-
-
-def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
-    """Blockwise tail-expectation backtest.
-
-    For each non-overlapping n-day block the VaR and the predicted tail
-    expectation come from the n days immediately preceding it.  A block with
-    zero violations counts as nonexistent.  A block whose *prediction* is
-    already undefined (empty conditioning tail in the window, possible under
-    strict conditioning) is excluded from both counts and only tallied in
-    ``blocks_undefined_prediction``.  Block error = realized mean of violating
-    returns + predicted tail expectation.
-    """
+def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
+    """The TCE backtest row of one pair, or the reason it is skipped."""
     n = spec.duration_n
     if len(series) < 2 * n:
-        raise InputError(
-            f"{series.asset_id}: need at least {2 * n} returns for one {n}-day block, got {len(series)}"
-        )
+        return f"{len(series)} returns < required {2 * n}"
     k = quantile_index(n, spec.level, spec.conv)
     in_tail = np.less if spec.strict_violation else np.less_equal
     rows = series.returns[:len(series) // n * n].reshape(-1, n)
@@ -266,7 +261,7 @@ def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
     defined = window_tail.any(axis=1)
     evaluated = int(defined.sum())
     if evaluated == 0:
-        raise InputError(
+        return (
             f"{series.asset_id}: predicted tail expectation undefined for every block "
             f"(duration {n}, level {spec.level.alpha:g}, strict conditioning)"
         )
@@ -284,6 +279,25 @@ def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
         mean_error=float(np.mean(realized_mean - predicted_mean)) if scored.any() else None,
         blocks_undefined_prediction=windows.shape[0] - evaluated,
     )
+
+
+def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
+    """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
+    return _or_raise(_var_result(series, spec, {}))
+
+
+def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
+    """Blockwise tail-expectation backtest.
+
+    For each non-overlapping n-day block the VaR and the predicted tail
+    expectation come from the n days immediately preceding it.  A block with
+    zero violations counts as nonexistent.  A block whose *prediction* is
+    already undefined (empty conditioning tail in the window, possible under
+    strict conditioning) is excluded from both counts and only tallied in
+    ``blocks_undefined_prediction``.  Block error = realized mean of violating
+    returns + predicted tail expectation.
+    """
+    return _or_raise(_tce_result(series, spec))
 
 
 def _check_labels(specs: Sequence[RiskSpec]) -> None:
@@ -311,8 +325,8 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     """Run both backtests for every (asset, spec) pair, skipping short series.
 
     Rows come back sorted (asset id, then duration, then level) regardless of
-    input order, so rendered tables are deterministic.  A pair too short for a
-    backtest is recorded as a SkippedPair instead of failing the suite.
+    input order, so rendered tables are deterministic.  A pair a backtest
+    cannot score is recorded as a SkippedPair instead of failing the suite.
     """
     series_list = list(series_set)
     if not series_list:
@@ -334,31 +348,15 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for series in series_list:
-        # one rank pass per (duration, strictness) serves every level and convention
-        violation_counts: dict[tuple[int, bool], np.ndarray] = {}
+        counts: dict[tuple[int, bool], np.ndarray] = {}
         for spec in spec_list:
-            n = spec.duration_n
-            if len(series) > n:
-                key = (n, spec.strict_violation)
-                if key not in violation_counts:
-                    violation_counts[key] = _violation_counts(series.returns, *key)
-                var_rows.append(_var_row(series, spec, violation_counts[key]))
-            else:
-                skips.append(SkippedPair(
-                    series.asset_id, spec, "var",
-                    f"{len(series)} returns < required {n + 1}",
-                ))
-            if len(series) >= 2 * n:
-                try:
-                    tce_rows.append(tce_backtest(series, spec))
-                except InputError as exc:
-                    # every block undefined under strict conditioning
-                    skips.append(SkippedPair(series.asset_id, spec, "tce", str(exc)))
-            else:
-                skips.append(SkippedPair(
-                    series.asset_id, spec, "tce",
-                    f"{len(series)} returns < required {2 * n}",
-                ))
+            var_result = _var_result(series, spec, counts)
+            tce_result = _tce_result(series, spec)
+            for kind, result, rows in (("var", var_result, var_rows), ("tce", tce_result, tce_rows)):
+                if isinstance(result, str):
+                    skips.append(SkippedPair(series.asset_id, spec, kind, result))
+                else:
+                    rows.append(result)
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

@@ -100,11 +100,19 @@ def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
     return [RiskSpec(n, alpha, conv, strict) for n, alpha in pairs]
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise InputError(f"{path}: line {line}: {exc}") from None
+
+
 def _load_series(args: argparse.Namespace) -> list[ReturnSeries]:
     method = ReturnMethod(args.method)
     out: list[ReturnSeries] = []
     for path in map(Path, args.prices or args.returns):
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path)
         if args.prices:
             out.append(to_returns(parse_prices(text, path.stem), method))
         else:
@@ -224,10 +232,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, list[str]]]]:
     """Read an error table: asset column names plus (duration, level, cells) rows."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("error table is empty") from None
+    header = next(reader, None)
+    if header is None:
+        raise InputError("error table is empty")
+    if header and header[0].startswith("|"):
+        raise InputError("error table is Markdown; regress reads the CSV tables of 'backtest --format csv'")
     if len(header) < 2:
         raise InputError("error table must have a spec column and at least one asset column")
     assets = [cell.strip() for cell in header[1:]]
@@ -278,7 +287,7 @@ def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    assets, rows = _parse_error_table(Path(args.table).read_text(encoding="utf-8"))
+    assets, rows = _parse_error_table(_read_text(Path(args.table)))
     if args.assets:
         selected = [name for raw in args.assets for name in raw.split(",") if name]
         unknown = [name for name in selected if name not in assets]
@@ -342,7 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "regress":
             return _cmd_regress(args)
         return _cmd_axioms(args)
-    except (_UsageError, InputError, OSError, UnicodeDecodeError) as exc:
+    except (_UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps everything else to 2

@@ -55,6 +55,19 @@ def _as_level(level: Level | float) -> Level:
     return level if isinstance(level, Level) else Level(float(level))
 
 
+def _checked_array(values: object, what: str) -> np.ndarray:
+    """``values`` as a read-only 1-D float copy, checked non-empty and finite; ``what`` names them in errors."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise InputError(f"{what} must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Sample:
     """A non-empty batch of observed returns, stored as a read-only float array."""
@@ -62,15 +75,7 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise InputError(f"sample must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            raise InputError("sample must contain at least one observation")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("sample contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked_array(self.values, "sample"))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -92,23 +97,15 @@ class DiscreteDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        p = np.array(self.probabilities, dtype=float)
-        if v.ndim != 1 or p.ndim != 1:
-            raise InputError("outcome values and probabilities must be one-dimensional")
+        v = _checked_array(self.values, "outcome values")
+        p = _checked_array(self.probabilities, "probabilities")
         if v.size != p.size:
             raise InputError(f"got {v.size} values but {p.size} probabilities")
-        if v.size == 0:
-            raise InputError("distribution must contain at least one outcome")
-        if not np.all(np.isfinite(v)):
-            raise InputError("outcome values contain non-finite entries")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise InputError("probabilities must be finite and nonnegative")
+        if np.any(p < 0.0):
+            raise InputError("probabilities must be nonnegative")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
-        v.flags.writeable = False
-        p.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probabilities", p)
 

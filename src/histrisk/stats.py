@@ -101,36 +101,28 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     )
 
 
+def _nonzero(v: float) -> float:
+    """``v``, or _CF_FPMIN when |v| is below it, so the Lentz steps never divide by zero."""
+    return _CF_FPMIN if abs(v) < _CF_FPMIN else v
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Modified Lentz evaluation of the incomplete-beta continued fraction."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:

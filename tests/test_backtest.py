@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,31 +273,46 @@ def window_oracle(values, spec):
 
 
 @pytest.mark.parametrize("n", [2, 7])
-@pytest.mark.parametrize("length", ["n+1", "2n", "3n-1", "3n"])
+@pytest.mark.parametrize("length", ["n", "n+1", "2n-1", "2n", "3n-1", "3n"])
 @pytest.mark.parametrize("strict", [True, False])
 def test_kernels_at_edge_lengths(n, length, strict):
-    # n+1: a single evaluation day; 2n and 3n-1: a single TCE block, the
-    # partial one dropped; 3n: two blocks
-    size = {"n+1": n + 1, "2n": 2 * n, "3n-1": 3 * n - 1, "3n": 3 * n}[length]
+    # n: no evaluation day; n+1: a single one; 2n-1: no TCE block; 2n and
+    # 3n-1: a single block, the partial one dropped; 3n: two blocks.
+    # run_suite gives the public functions' rows and skips a pair exactly
+    # where they raise, with the reason they raise.
+    size = {"n": n, "n+1": n + 1, "2n-1": 2 * n - 1, "2n": 2 * n, "3n-1": 3 * n - 1, "3n": 3 * n}[length]
     values = np.round(np.random.default_rng(size * n).normal(size=size), 1)
     spec = RiskSpec(n, Level(0.75), SMALLEST, strict)
     series = make_series(values)
     forecasts, violations, evaluated, nonexistent, undefined = window_oracle(values, spec)
+    report = run_suite([series], [spec])
+    reasons = {skip.kind: skip.reason for skip in report.skips}
+    assert len(reasons) == len(report.skips)
 
-    assert [v for _, v in rolling_var_forecasts(series, spec)] == forecasts
-    row = var_backtest(series, spec)
-    assert (row.evaluation_days, row.violations) == (size - n, violations)
-    if size < 2 * n:
-        return
-    assert evaluated + undefined == size // n - 1
-    if evaluated == 0:
-        with pytest.raises(InputError, match="undefined"):
-            tce_backtest(series, spec)
+    if size > n:
+        assert [v for _, v in rolling_var_forecasts(series, spec)] == forecasts
+        row = var_backtest(series, spec)
+        assert (row.evaluation_days, row.violations) == (size - n, violations)
+        assert report.var_rows == (row,) and "var" not in reasons
     else:
+        for public in (rolling_var_forecasts, var_backtest):
+            with pytest.raises(InputError, match=re.escape(reasons["var"])):
+                public(series, spec)
+        assert report.var_rows == ()
+    if size >= 2 * n:
+        assert evaluated + undefined == size // n - 1
+    if evaluated:
         row = tce_backtest(series, spec)
         assert (row.blocks_total, row.blocks_nonexistent, row.blocks_undefined_prediction) == (
             evaluated, nonexistent, undefined,
         )
+        assert report.tce_rows == (row,) and "tce" not in reasons
+    else:
+        # no full block, or (n=2, strict) every block's tail below the minimum is empty
+        with pytest.raises(InputError, match=re.escape(reasons["tce"])):
+            tce_backtest(series, spec)
+        assert report.tce_rows == ()
+        assert ("undefined" in reasons["tce"]) == (size >= 2 * n)
 
 
 @pytest.mark.parametrize("chunk_elems", [1, 9, 36])

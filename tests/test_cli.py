@@ -99,7 +99,7 @@ def test_backtest_deterministic_output(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_backtest_markdown_format(tmp_path):
+def test_backtest_markdown_format(tmp_path, capsys):
     rng = np.random.default_rng(65)
     write_returns_csv(tmp_path / "a.csv", rng.normal(0, 0.01, 100))
     out = tmp_path / "report"
@@ -111,6 +111,20 @@ def test_backtest_markdown_format(tmp_path):
     text = (out / "var_errors.md").read_text(encoding="utf-8")
     assert text.startswith("| spec | a |")
     assert "| 10,90% |" in text
+    capsys.readouterr()
+    # regress reads only the CSV tables
+    assert main(["regress", str(out / "var_errors.md")]) == 1
+    assert "Markdown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["backtest", "regress"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"date,return\n2015-01-01,0.0\xff1\n")
+    args = {"backtest": ["--returns", str(bad), "--out", str(tmp_path / "o")], "regress": [str(bad)]}[command]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "line 2" in err
 
 
 def test_backtest_missing_file_no_partial_output(tmp_path, capsys):
