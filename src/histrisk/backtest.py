@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .measures import Level, QuantileConvention, _as_level, _checked_array, quantile_index
+from .measures import Level, QuantileConvention, _as_level, _checked_array, _finite_mean, quantile_index
 
 _Row = TypeVar("_Row")
 
@@ -246,6 +246,11 @@ def _var_result(
     )
 
 
+def _tail_means(rows: np.ndarray, in_tail: np.ndarray) -> np.ndarray:
+    """Mean of each row over its ``in_tail`` entries (at least one per row)."""
+    return _finite_mean(lambda r: np.where(in_tail, r, 0.0).sum(axis=1) / in_tail.sum(axis=1), rows)
+
+
 def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
     """The TCE backtest row of one pair, or the reason it is skipped."""
     n = spec.duration_n
@@ -267,8 +272,8 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
         )
     scored = defined & hits.any(axis=1)
     window_tail, hits = window_tail[scored], hits[scored]
-    predicted_mean = np.where(window_tail, windows[scored], 0.0).sum(axis=1) / window_tail.sum(axis=1)
-    realized_mean = np.where(hits, blocks[scored], 0.0).sum(axis=1) / hits.sum(axis=1)
+    predicted_mean = _tail_means(windows[scored], window_tail)
+    realized_mean = _tail_means(blocks[scored], hits)
     nonexistent = evaluated - int(scored.sum())
     return TceBacktestRow(
         asset_id=series.asset_id,
@@ -276,7 +281,7 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
         blocks_total=evaluated,
         blocks_nonexistent=nonexistent,
         nonexistence_rate=nonexistent / evaluated,
-        mean_error=float(np.mean(realized_mean - predicted_mean)) if scored.any() else None,
+        mean_error=float(_finite_mean(np.mean, realized_mean - predicted_mean)) if scored.any() else None,
         blocks_undefined_prediction=windows.shape[0] - evaluated,
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,10 @@ def _as_level(level: Level | float) -> Level:
 
 def _checked_array(values: object, what: str) -> np.ndarray:
     """``values`` as a read-only 1-D float copy, checked non-empty and finite; ``what`` names them in errors."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be numeric and one-dimensional") from None
     if arr.ndim != 1:
         raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -138,6 +141,24 @@ def quantile_index(n: int, level: Level | float, conv: QuantileConvention) -> in
     return min(max(k, 1), n) - 1
 
 
+def _finite_mean(mean_of: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``mean_of(values)``, finite wherever ``values`` is finite.
+
+    A mean of finite values lies between their extremes, but its running sum
+    can overflow.  Only where it did is the mean recomputed as
+    ``scale * mean_of(values / scale)`` with ``scale`` the largest magnitude
+    along the last axis, so ordinary inputs keep the plain float operations.
+    """
+    with np.errstate(over="ignore"):
+        means = mean_of(values)
+    if np.isfinite(means).all():
+        return means
+    scale = np.abs(values).max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on an all-zero row, whose plain mean is kept
+        rescaled = scale[..., 0] * mean_of(values / scale)
+    return np.where(np.isfinite(means), means, rescaled)
+
+
 def _quantile(sample: Sample | Sequence[float], level: Level | float, conv: QuantileConvention) -> float:
     """The order statistic backing the quantile convention, by partial sort."""
     s = _as_sample(sample)
@@ -199,7 +220,7 @@ def tce(
     tail = s.values[s.values < threshold] if strict else s.values[s.values <= threshold]
     if tail.size == 0:
         return None
-    return float(-tail.mean() + 0.0)
+    return float(-_finite_mean(np.mean, tail) + 0.0)
 
 
 def tce_discrete(

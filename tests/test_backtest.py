@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ def test_tce_backtest_every_block_undefined():
     series = make_series(rng.normal(size=40))
     with pytest.raises(InputError, match="undefined"):
         tce_backtest(series, RiskSpec(10, Level(0.95), LARGEST, strict_violation=True))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_tce_backtest_finite_in_finite_out(strict):
+    # tail sums of +-1e308 overflow; the row must equal the one of the same
+    # returns scaled down by an exact power of two, scaled back up.  The
+    # all-zero block is a row whose rescaling would divide 0 by 0.
+    pattern = [-1e308, -1e308, 1.0, 2.0, -1e308, -1.5e308, 3.0, 4.0, 1e308, -1e308, 0.5, 1e308, 0.0, 0.0, 0.0, 0.0]
+    spec = RiskSpec(4, Level(0.5), LARGEST, strict_violation=strict)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = tce_backtest(make_series(pattern * 3), spec)
+    small = tce_backtest(make_series([v * 2.0 ** -600 for v in pattern * 3]), spec)
+    assert (row.blocks_total, row.blocks_nonexistent) == (small.blocks_total, small.blocks_nonexistent)
+    assert math.isfinite(row.mean_error)
+    assert row.mean_error == pytest.approx(small.mean_error * 2.0 ** 600, rel=1e-12)
 
 
 def test_tce_nonexistence_matches_beta_mixture_theory():

@@ -1,10 +1,12 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from histrisk import InputError, PriceSeries, ReturnMethod, parse_prices, parse_returns, to_returns
+from histrisk.ingestion import _row_loop
 
 
 def test_parse_prices_minimal():
@@ -147,3 +149,25 @@ def test_parse_prices_first_bad_line_wins():
 def test_price_series_rejects_empty_asset_id():
     with pytest.raises(InputError, match="asset_id"):
         PriceSeries("", (dt.date(2020, 1, 1),), np.array([1.0]))
+
+
+def _peak_bytes(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fast_path_peak_memory_within_row_loop():
+    # the columnar path splits the body in bounded chunks, so parsing a long
+    # file through it, series included, peaks below the row loop's two lists
+    rng = np.random.default_rng(33)
+    start = dt.date(1900, 1, 1)
+    text = "date,return\n" + "".join(
+        f"{start + dt.timedelta(days=i)},{r!r}\n" for i, r in enumerate(rng.normal(0.0, 0.01, 50_000).tolist())
+    )
+    public = _peak_bytes(lambda t: parse_returns(t, "x"), text)
+    row_loop = _peak_bytes(lambda t: _row_loop(t, "return", "x"), text)
+    assert public <= row_loop

@@ -1,3 +1,6 @@
+import datetime as dt
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,9 @@ from histrisk import (
     DiscreteDistribution,
     InputError,
     Level,
+    PriceSeries,
     QuantileConvention,
+    ReturnSeries,
     Sample,
     axiom_report,
     convolve_independent,
@@ -126,6 +131,29 @@ def test_sample_validation():
         Sample(np.array([0.1, np.nan]))
     with pytest.raises(InputError):
         Sample(np.array([[0.1, 0.2]]))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda bad: Sample(bad), "sample"),
+    (lambda bad: DiscreteDistribution(bad, [1.0]), "outcome values"),
+    (lambda bad: DiscreteDistribution([1.0], bad), "probabilities"),
+    (lambda bad: ReturnSeries("x", (dt.date(2020, 1, 1),), bad), "x: returns"),
+    (lambda bad: PriceSeries("x", (dt.date(2020, 1, 1),), bad), "x: prices"),
+], ids=["Sample", "DiscreteDistribution.values", "DiscreteDistribution.probabilities", "ReturnSeries",
+        "PriceSeries"])
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], ["a"], [object()]], ids=["ragged", "text", "object"])
+def test_non_numeric_input_names_its_field(build, field, bad):
+    with pytest.raises(InputError, match=f"^{field} must be numeric and one-dimensional$"):
+        build(bad)
+
+
+def test_tce_finite_in_finite_out():
+    # the tail {-1e308, -1e308} sums past the float range; its mean does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tce([1e308, -1e308, -1e308], 0.5) == 1e308
+        assert tce([1e308, -1e308, -1.7e308, 3.0], 0.5) == pytest.approx(9e307, rel=1e-15)
+        assert tce([-1.5e308, -1.5e308, 0.0], 0.5, strict=False) == 1.5e308
 
 
 def test_level_validation():
