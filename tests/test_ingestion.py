@@ -162,7 +162,8 @@ def _peak_bytes(parse, text):
 
 def test_fast_path_peak_memory_within_row_loop():
     # the columnar path splits the body in bounded chunks, so parsing a long
-    # file through it, series included, peaks below the row loop's two lists
+    # file through it, series included, peaks below the row loop, whose
+    # io.StringIO alone holds a 4-byte-per-character copy of the text
     rng = np.random.default_rng(33)
     start = dt.date(1900, 1, 1)
     text = "date,return\n" + "".join(

@@ -153,7 +153,7 @@ def test_tce_finite_in_finite_out():
         warnings.simplefilter("error")
         assert tce([1e308, -1e308, -1e308], 0.5) == 1e308
         assert tce([1e308, -1e308, -1.7e308, 3.0], 0.5) == pytest.approx(9e307, rel=1e-15)
-        assert tce([-1.5e308, -1.5e308, 0.0], 0.5, strict=False) == 1.5e308
+        assert tce([-1.5e308, -1.5e308, 0.0], 0.5) == 1.5e308
 
 
 def test_level_validation():
