@@ -16,7 +16,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,8 +32,6 @@ from .measures import (
     var_discrete,
 )
 from .stats import ols2
-
-_TABLE_BASENAMES = ("tce_nonexistence", "var_errors", "tce_errors")
 
 
 class _UsageError(Exception):
@@ -168,30 +165,20 @@ def _write_all(out_dir: Path, files: dict[str, str]) -> None:
 
 
 def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]]:
-    """Cell grids for the three tables, keyed by table basename."""
-    var_cells = {(r.asset_id, r.spec): r for r in report.var_rows}
-    tce_cells = {(r.asset_id, r.spec): r for r in report.tce_rows}
-    tables: dict[str, list[tuple[str, list[str]]]] = {name: [] for name in _TABLE_BASENAMES}
-    for spec in report.specs:
-        nonexistence_row: list[str] = []
-        var_row: list[str] = []
-        tce_row: list[str] = []
-        for asset in report.asset_ids:
-            vrow = var_cells.get((asset, spec))
-            trow = tce_cells.get((asset, spec))
-            var_row.append(_fmt_error(vrow.relative_error) if vrow else "skipped")
-            nonexistence_row.append(_fmt_rate(trow.nonexistence_rate) if trow else "skipped")
-            if trow is None:
-                tce_row.append("skipped")
-            elif trow.mean_error is None:
-                tce_row.append("NA")
-            else:
-                tce_row.append(_fmt_error(trow.mean_error))
-        label = spec.label()
-        tables["tce_nonexistence"].append((label, nonexistence_row))
-        tables["var_errors"].append((label, var_row))
-        tables["tce_errors"].append((label, tce_row))
-    return tables
+    """Cell grids for the three tables, keyed by table basename; a pair with no row reads ``skipped``."""
+    cells = {
+        "tce_nonexistence": {(r.asset_id, r.spec): _fmt_rate(r.nonexistence_rate) for r in report.tce_rows},
+        "var_errors": {(r.asset_id, r.spec): _fmt_error(r.relative_error) for r in report.var_rows},
+        "tce_errors": {
+            (r.asset_id, r.spec): "NA" if r.mean_error is None else _fmt_error(r.mean_error)
+            for r in report.tce_rows
+        },
+    }
+    return {
+        name: [(spec.label(), [grid.get((asset, spec), "skipped") for asset in report.asset_ids])
+               for spec in report.specs]
+        for name, grid in cells.items()
+    }
 
 
 def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
@@ -231,7 +218,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
 def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, list[str]]]]:
     """Read an error table: asset column names plus (duration, level, cells) rows."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     header = next(reader, None)
     if header is None:
         raise InputError("error table is empty")
@@ -240,6 +227,9 @@ def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, lis
     if len(header) < 2:
         raise InputError("error table must have a spec column and at least one asset column")
     assets = [cell.strip() for cell in header[1:]]
+    repeated = sorted({name for name in assets if assets.count(name) > 1})
+    if repeated:
+        raise InputError(f"duplicate asset columns: {', '.join(repeated)}")
     rows: list[tuple[int, float, list[str]]] = []
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
@@ -289,10 +279,10 @@ def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -
 def _cmd_regress(args: argparse.Namespace) -> int:
     assets, rows = _parse_error_table(_read_text(Path(args.table)))
     if args.assets:
-        selected = [name for raw in args.assets for name in raw.split(",") if name]
+        selected = list(dict.fromkeys(name for raw in args.assets for name in raw.split(",") if name))
         unknown = [name for name in selected if name not in assets]
         if unknown:
-            raise InputError(f"unknown asset columns: {', '.join(sorted(set(unknown)))}")
+            raise InputError(f"unknown asset columns: {', '.join(sorted(unknown))}")
     else:
         selected = assets
     per_asset = _collect_regression_rows(assets, rows, selected)

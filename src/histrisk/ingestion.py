@@ -5,16 +5,15 @@ Files are two-column CSV with an exact header (``date,price`` or
 Every rejection names the 1-based number of the first bad line; nothing is
 silently dropped, reordered or deduplicated.
 
-Two paths read a file, and they give the same result.  ``_parse_columns`` is
-the fast path for a plain file: the exact header, then ``YYYY-MM-DD,<value>``
-lines each ending in a newline.  One regex checks the format of every line,
-each column is converted with one ``map`` of ``date.fromisoformat`` or
-``float``, and date order, finiteness and price positivity are checked on
-whole columns.  It returns the dates and values or None, and it never raises
-or writes a message.  On None, ``_row_loop`` reads the file one csv row at a
-time.  The row loop alone decides what a bad file means, and it writes every
-line-numbered error.  Quoted or padded cells, a padded header, blank lines
-and raw carriage returns all take the row loop.
+Three owners read a file, one job each.  The fast path, ``_parse_plain``, owns
+the format of a plain file: the exact header, then ``YYYY-MM-DD,<value>``
+lines each ending in a newline, checked by one regex and converted by one
+``map`` per column.  The series type (``PriceSeries``, ``ReturnSeries``) owns
+the values: date order, finiteness and price positivity.  The fast path
+returns the type's series, or None when the format or the type rejects them.
+The row loop, ``_row_loop``, owns the messages: on None it reads the file one
+csv row at a time and writes every line-numbered error.  Quoted or padded
+cells, a padded header, blank lines and raw carriage returns all take it.
 
 The fast path splits the body in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so its transient strings stay near 64 Ki
@@ -34,9 +33,9 @@ import datetime as dt
 import enum
 import io
 import math
-import operator
 import re
 from dataclasses import dataclass
+from typing import Iterator, TypeVar
 
 import numpy as np
 
@@ -52,6 +51,8 @@ _NOT_PLAIN_ROW = re.compile(r"\n(?![0-9]{4}-[0-9]{2}-[0-9]{2},[^,\n\"\r]*$)", re
 
 # Body characters split per pass of the columnar fast path (rounded up to a line end).
 _CHUNK_CHARS = 1 << 16
+
+_Series = TypeVar("_Series", "PriceSeries", ReturnSeries)
 
 
 class ReturnMethod(enum.Enum):
@@ -78,8 +79,8 @@ class PriceSeries:
         return int(self.prices.size)
 
 
-def _parse_columns(text: str, value_column: str) -> tuple[list[dt.date], list[float]] | None:
-    """The row loop's result for a plain, valid file, or None: then the row loop decides."""
+def _parse_plain(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series | None:
+    """``text`` as a ``series_type`` if it is a plain file whose values the type accepts, else None."""
     text = text.lstrip("\ufeff")
     header = f"date,{value_column}\n"
     start, end = len(header), len(text)
@@ -99,23 +100,29 @@ def _parse_columns(text: str, value_column: str) -> tuple[list[dt.date], list[fl
             dates += map(dt.date.fromisoformat, cells[0:-1:2])
             values += map(float, cells[1::2])
             start = stop
-    except ValueError:
+        return series_type(asset_id, dates, values)
+    except ValueError:  # a cell's conversion, or the type's InputError
         return None
-    if not all(map(operator.lt, dates, dates[1:])) or not all(map(math.isfinite, values)):
-        return None
-    if value_column == "price" and min(values) <= 0.0:
-        return None
-    return dates, values
 
 
-def _parse_rows(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date], list[float]]:
-    """Shared reader for both schemas; returns parallel date and value lists."""
-    return _parse_columns(text, value_column) or _row_loop(text, value_column, asset_id)
+def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series:
+    """``text`` as a ``series_type``, by the fast path when it takes the file, else by the row loop."""
+    series = _parse_plain(text, value_column, asset_id, series_type)
+    return series_type(asset_id, *_row_loop(text, value_column, asset_id)) if series is None else series
+
+
+def _csv_rows(text: str, asset_id: str) -> Iterator[list[str]]:
+    """The csv rows of ``text``; a csv error, such as a raw carriage return in a line, names its line."""
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{asset_id}: line {reader.line_num}: {exc}") from None
 
 
 def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date], list[float]]:
     """Read ``text`` one csv row at a time; the only writer of line-numbered errors."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    reader = _csv_rows(text, asset_id)
     header = next(reader, None)
     if header is None:
         raise InputError(f"{asset_id}: line 1: expected header 'date,{value_column}', file is empty")
@@ -156,14 +163,12 @@ def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date
 
 def parse_prices(text: str, asset_id: str) -> PriceSeries:
     """Parse ``date,price`` CSV content into a validated PriceSeries."""
-    dates, prices = _parse_rows(text, "price", asset_id)
-    return PriceSeries(asset_id=asset_id, dates=dates, prices=prices)
+    return _parse(text, "price", asset_id, PriceSeries)
 
 
 def parse_returns(text: str, asset_id: str) -> ReturnSeries:
     """Parse ``date,return`` CSV content into a validated ReturnSeries."""
-    dates, returns = _parse_rows(text, "return", asset_id)
-    return ReturnSeries(asset_id=asset_id, dates=dates, returns=returns)
+    return _parse(text, "return", asset_id, ReturnSeries)
 
 
 def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) -> ReturnSeries:

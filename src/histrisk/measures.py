@@ -52,7 +52,7 @@ class Level:
 
 
 def _as_level(level: Level | float) -> Level:
-    return level if isinstance(level, Level) else Level(float(level))
+    return level if isinstance(level, Level) else Level(level)
 
 
 def _checked_array(values: object, what: str) -> np.ndarray:
@@ -85,7 +85,7 @@ class Sample:
 
 
 def _as_sample(sample: Sample | Sequence[float] | np.ndarray) -> Sample:
-    return sample if isinstance(sample, Sample) else Sample(np.asarray(sample, dtype=float))
+    return sample if isinstance(sample, Sample) else Sample(sample)
 
 
 @dataclass(frozen=True)

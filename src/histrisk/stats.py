@@ -46,7 +46,10 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     are required so the residual has positive degrees of freedom.  P-values are
     two-sided t tests of each slope against zero.
     """
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("regression rows must be numeric (error, duration, level) triples") from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InputError(f"expected rows of (error, duration, level), got shape {arr.shape}")
     m = arr.shape[0]

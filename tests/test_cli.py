@@ -266,9 +266,22 @@ def test_regress_asset_selection(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "[one]" in out and "[three]" in out and "[two]" not in out
+    rc = main(["regress", str(table), "--assets", "one,one"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("[one]") == 1 and "pooled" not in out
     rc = main(["regress", str(table), "--assets", "bogus"])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_regress_rejects_duplicate_asset_columns(tmp_path, capsys):
+    # a repeated name would give two [a] blocks of one column and count its rows twice when pooled
+    table = tmp_path / "var_errors.csv"
+    write_error_table(table, ["a", "b", " a"], lambda n, a, i: 0.01 * n - 0.5 * a + 0.1 * i)
+    rc = main(["regress", str(table)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: duplicate asset columns: a\n"
 
 
 def test_regress_skips_na_and_skipped_cells(tmp_path, capsys):

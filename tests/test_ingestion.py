@@ -146,6 +146,16 @@ def test_parse_prices_first_bad_line_wins():
         parse_prices(text, "x")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("date,price\n2010-01-04,100.0\r2010-01-05,101.5\n", 2),
+    ("date,pr\rice\n2010-01-04,100.0\n", 1),
+], ids=["row", "header"])
+def test_raw_carriage_return_names_its_line(text, line):
+    # library callers may pass text not read in universal-newline mode
+    with pytest.raises(InputError, match=f"^x: line {line}: new-line character seen in unquoted field"):
+        parse_prices(text, "x")
+
+
 def test_price_series_rejects_empty_asset_id():
     with pytest.raises(InputError, match="asset_id"):
         PriceSeries("", (dt.date(2020, 1, 1),), np.array([1.0]))

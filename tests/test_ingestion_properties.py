@@ -1,6 +1,6 @@
 """The columnar fast path of ingestion against the csv row loop.
 
-``_parse_columns`` may only ever return what the row loop returns, and
+``_parse_plain`` may only ever return what the row loop alone returns, and
 ``parse_prices``/``parse_returns`` must give the same series, or raise the
 same error with the same text, as the row loop alone.  Texts are valid files
 with random damage of the kinds real exports carry.
@@ -12,7 +12,7 @@ import datetime as dt
 import pytest
 
 from histrisk import InputError, PriceSeries, ReturnSeries, parse_prices, parse_returns
-from histrisk.ingestion import _parse_columns, _row_loop
+from histrisk.ingestion import _parse_plain, _row_loop
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -96,6 +96,10 @@ def _row_loop_alone(text, column):
     return PARSERS[column][1]("x", *_row_loop(text, column, "x"))
 
 
+def _fast(text, column):
+    return _parse_plain(text, column, "x", PARSERS[column][1])
+
+
 PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
 
 
@@ -128,9 +132,8 @@ PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
 @example((PLAIN.replace("2010-01-04,100.0", "2010-01-04,1,2010-01-06").replace("101.5", "7"), "price"))
 def test_fast_path_matches_row_loop(case):
     text, column = case
-    fast = _parse_columns(text, column)
-    if fast is not None:
-        assert fast == _row_loop(text, column, "x")
+    if _fast(text, column) is not None:
+        assert _outcome(_fast, text, column) == _outcome(_row_loop_alone, text, column)
     assert _outcome(_public, text, column) == _outcome(_row_loop_alone, text, column)
 
 
@@ -145,15 +148,13 @@ def test_fast_path_matches_row_loop(case):
 def test_fast_path_takes_plain_files(text, column):
     # float() strips Unicode spaces and reads underscores and non-ASCII digits
     # exactly as the row loop's strip-then-float does, so these stay fast
-    fast = _parse_columns(text, column)
-    assert fast is not None
-    assert fast == _row_loop(text, column, "x")
+    assert _fast(text, column) is not None
+    assert _outcome(_fast, text, column) == _outcome(_row_loop_alone, text, column)
 
 
 def test_fast_path_spans_chunks(monkeypatch):
     monkeypatch.setattr("histrisk.ingestion._CHUNK_CHARS", 40)
     days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(50)]
     text = "date,return\n" + "".join(f"{d},{i / 7!r}\n" for i, d in enumerate(days))
-    fast = _parse_columns(text, "return")
-    assert fast == (days, [i / 7 for i in range(50)])
-    assert fast == _row_loop(text, "return", "x")
+    assert _outcome(_fast, text, "return") == (tuple(days), [i / 7 for i in range(50)])
+    assert _outcome(_fast, text, "return") == _outcome(_row_loop_alone, text, "return")

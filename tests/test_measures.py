@@ -139,8 +139,12 @@ def test_sample_validation():
     (lambda bad: DiscreteDistribution([1.0], bad), "probabilities"),
     (lambda bad: ReturnSeries("x", (dt.date(2020, 1, 1),), bad), "x: returns"),
     (lambda bad: PriceSeries("x", (dt.date(2020, 1, 1),), bad), "x: prices"),
+    (lambda bad: var(bad, 0.9), "sample"),
+    (lambda bad: tce(bad, 0.9), "sample"),
+    (lambda bad: largest_alpha_quantile(bad, 0.9), "sample"),
+    (lambda bad: axiom_report(bad, 0.9, shift=0.01, scale=2.0), "sample"),
 ], ids=["Sample", "DiscreteDistribution.values", "DiscreteDistribution.probabilities", "ReturnSeries",
-        "PriceSeries"])
+        "PriceSeries", "var", "tce", "largest_alpha_quantile", "axiom_report"])
 @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], ["a"], [object()]], ids=["ragged", "text", "object"])
 def test_non_numeric_input_names_its_field(build, field, bad):
     with pytest.raises(InputError, match=f"^{field} must be numeric and one-dimensional$"):

@@ -169,6 +169,13 @@ def test_non_finite_rows_rejected():
         ols2(rows)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5]], [["a", 1, 2]] * 4, [[object(), 1, 2]] * 4],
+                         ids=["ragged", "text", "object"])
+def test_non_numeric_rows_rejected(rows):
+    with pytest.raises(InputError, match="^regression rows must be numeric"):
+        ols2(rows)
+
+
 def test_t_sf_at_zero():
     for df in (1, 2, 5, 60, 1000):
         assert student_t_sf(0.0, df) == 0.5
