@@ -22,7 +22,7 @@ from typing import Sequence
 from . import __version__
 from .backtest import DEFAULT_GRID, ReturnSeries, RiskSpec, SuiteReport, parse_label, run_suite
 from .errors import InputError
-from .ingestion import ReturnMethod, parse_prices, parse_returns, to_returns
+from .ingestion import ReturnMethod, _csv_records, parse_prices, parse_returns, to_returns
 from .measures import (
     DiscreteDistribution,
     QuantileConvention,
@@ -216,10 +216,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, list[str]]]]:
-    """Read an error table: asset column names plus (duration, level, cells) rows."""
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
-    header = next(reader, None)
+def _read_error_table(table: str, asset_flags: list[str] | None) -> dict[str, list[tuple[float, float, float]]]:
+    """The ``(error, duration, level)`` rows of each selected asset column of an error table, in table order."""
+    path = Path(table)
+    records = _csv_records(_read_text(path), str(path))
+    _, header = next(records, (None, None))
     if header is None:
         raise InputError("error table is empty")
     if header and header[0].startswith("|"):
@@ -230,38 +231,34 @@ def _parse_error_table(text: str) -> tuple[list[str], list[tuple[int, float, lis
     repeated = sorted({name for name in assets if assets.count(name) > 1})
     if repeated:
         raise InputError(f"duplicate asset columns: {', '.join(repeated)}")
-    rows: list[tuple[int, float, list[str]]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise InputError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+    selected = assets
+    if asset_flags:
+        selected = list(dict.fromkeys(name for raw in asset_flags for name in raw.split(",") if name))
+        unknown = [name for name in selected if name not in assets]
+        if unknown:
+            raise InputError(f"unknown asset columns: {', '.join(sorted(unknown))}")
+        if not selected:
+            raise InputError("--assets names no asset column")
+    columns = {name: assets.index(name) + 1 for name in selected}
+    per_asset: dict[str, list[tuple[float, float, float]]] = {name: [] for name in selected}
+    line = 1
+    for line, cells in records:
         try:
-            duration, level = parse_label(row[0].strip())
+            duration, level = parse_label(cells[0].strip())
         except InputError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
-        rows.append((duration, level, [cell.strip() for cell in row[1:]]))
-    if not rows:
-        raise InputError("error table has no data rows")
-    return assets, rows
-
-
-def _collect_regression_rows(
-    assets: list[str],
-    rows: list[tuple[int, float, list[str]]],
-    selected: list[str],
-) -> dict[str, list[tuple[float, float, float]]]:
-    index = {name: i for i, name in enumerate(assets)}
-    out: dict[str, list[tuple[float, float, float]]] = {name: [] for name in selected}
-    for duration, level, cells in rows:
-        for name in selected:
-            token = cells[index[name]]
+            raise InputError(f"{path}: line {line}: {exc}") from None
+        for name, column in columns.items():
+            token = cells[column].strip()
             if token in ("skipped", "NA", ""):
                 continue
             try:
                 error = float(token)
             except ValueError:
-                raise InputError(f"unparseable cell {token!r} in column {name!r}") from None
-            out[name].append((error, float(duration), level))
-    return out
+                raise InputError(f"{path}: line {line}: unparseable cell {token!r} in column {name!r}") from None
+            per_asset[name].append((error, float(duration), level))
+    if line == 1:  # the header's line: no record followed it
+        raise InputError("error table has no data rows")
+    return per_asset
 
 
 def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -> None:
@@ -277,20 +274,12 @@ def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    assets, rows = _parse_error_table(_read_text(Path(args.table)))
-    if args.assets:
-        selected = list(dict.fromkeys(name for raw in args.assets for name in raw.split(",") if name))
-        unknown = [name for name in selected if name not in assets]
-        if unknown:
-            raise InputError(f"unknown asset columns: {', '.join(sorted(unknown))}")
-    else:
-        selected = assets
-    per_asset = _collect_regression_rows(assets, rows, selected)
-    for name in selected:
-        _print_regression_block(name, per_asset[name])
-    if len(selected) > 1:
-        pooled = [row for name in selected for row in per_asset[name]]
-        _print_regression_block("pooled: " + ",".join(selected), pooled)
+    per_asset = _read_error_table(args.table, args.assets)
+    for name, rows in per_asset.items():
+        _print_regression_block(name, rows)
+    if len(per_asset) > 1:
+        pooled = [row for rows in per_asset.values() for row in rows]
+        _print_regression_block("pooled: " + ",".join(per_asset), pooled)
     return 0
 
 

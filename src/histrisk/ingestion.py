@@ -5,15 +5,16 @@ Files are two-column CSV with an exact header (``date,price`` or
 Every rejection names the 1-based number of the first bad line; nothing is
 silently dropped, reordered or deduplicated.
 
-Three owners read a file, one job each.  The fast path, ``_parse_plain``, owns
-the format of a plain file: the exact header, then ``YYYY-MM-DD,<value>``
-lines each ending in a newline, checked by one regex and converted by one
-``map`` per column.  The series type (``PriceSeries``, ``ReturnSeries``) owns
-the values: date order, finiteness and price positivity.  The fast path
-returns the type's series, or None when the format or the type rejects them.
-The row loop, ``_row_loop``, owns the messages: on None it reads the file one
-csv row at a time and writes every line-numbered error.  Quoted or padded
-cells, a padded header, blank lines and raw carriage returns all take it.
+Four owners read a file, one job each.  The reader, ``_csv_records``, owns csv
+text, error tables included: the byte-order mark, csv errors, field counts and
+the physical line each record starts on.  The fast path, ``_parse_plain``, owns
+the format of a plain file: the exact header, then ``YYYY-MM-DD,<value>`` lines
+each ending in a newline, checked by one regex, converted by one ``map`` per
+column.  The series type (``PriceSeries``, ``ReturnSeries``) owns the values:
+date order, finiteness and price positivity; the fast path returns its series,
+or None when the format or the type rejects them.  The row loop, ``_row_loop``,
+then reads the records and writes every line-numbered value message.  Quoted or
+padded cells, a padded header, blank lines and raw carriage returns take it.
 
 The fast path splits the body in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so its transient strings stay near 64 Ki
@@ -111,19 +112,26 @@ def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Serie
     return series_type(asset_id, *_row_loop(text, value_column, asset_id)) if series is None else series
 
 
-def _csv_rows(text: str, asset_id: str) -> Iterator[list[str]]:
-    """The csv rows of ``text``; a csv error, such as a raw carriage return in a line, names its line."""
+def _csv_records(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line it starts on, cells)`` for each csv record; each after the header has the header's field count."""
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    line, width = 1, None
     try:
-        yield from reader
+        for cells in reader:
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise InputError(f"{source}: line {line}: expected {width} fields, got {len(cells)}")
+            yield line, cells
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise InputError(f"{asset_id}: line {reader.line_num}: {exc}") from None
+        raise InputError(f"{source}: line {reader.line_num}: {exc}") from None
 
 
 def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date], list[float]]:
-    """Read ``text`` one csv row at a time; the only writer of line-numbered errors."""
-    reader = _csv_rows(text, asset_id)
-    header = next(reader, None)
+    """Read ``text`` one csv record at a time; the writer of every line-numbered header and value error."""
+    records = _csv_records(text, asset_id)
+    _, header = next(records, (None, None))
     if header is None:
         raise InputError(f"{asset_id}: line 1: expected header 'date,{value_column}', file is empty")
     if [cell.strip() for cell in header] != ["date", value_column]:
@@ -132,9 +140,7 @@ def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date
         )
     dates: list[dt.date] = []
     values: list[float] = []
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise InputError(f"{asset_id}: line {line_no}: expected 2 fields, got {len(row)}")
+    for line_no, row in records:
         raw_date, raw_value = row[0].strip(), row[1].strip()
         if not _ISO_DATE.match(raw_date):
             raise InputError(f"{asset_id}: line {line_no}: invalid ISO date {raw_date!r}")
@@ -178,11 +184,13 @@ def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) 
     """
     if len(prices) < 2:
         raise InputError(f"{prices.asset_id}: need at least 2 prices to form returns, got {len(prices)}")
-    ratios = prices.prices[1:] / prices.prices[:-1]
-    if method is ReturnMethod.SIMPLE:
-        returns = ratios - 1.0
-    elif method is ReturnMethod.LOG:
-        returns = np.log(ratios)
-    else:
-        raise InputError(f"unknown return method: {method!r}")
+    # an overflowed ratio, or the log of one that underflowed to 0, fails ReturnSeries' finiteness check
+    with np.errstate(over="ignore", divide="ignore"):
+        ratios = prices.prices[1:] / prices.prices[:-1]
+        if method is ReturnMethod.SIMPLE:
+            returns = ratios - 1.0
+        elif method is ReturnMethod.LOG:
+            returns = np.log(ratios)
+        else:
+            raise InputError(f"unknown return method: {method!r}")
     return ReturnSeries(asset_id=prices.asset_id, dates=prices.dates[1:], returns=returns)

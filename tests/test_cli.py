@@ -189,6 +189,19 @@ def test_backtest_bad_ingestion_line_reported(tmp_path, capsys):
     assert "line 3" in err and "2015-01-01" in err
 
 
+@pytest.mark.parametrize("prices, method", [
+    ([1e-300, 1e300], "simple"),
+    ([1e-300, 1e300], "log"),
+    ([1e300, 1e-300], "log"),
+], ids=["overflow-simple", "overflow-log", "log-of-zero"])
+def test_backtest_out_of_range_returns_one_error_line(tmp_path, capsys, prices, method):
+    write_prices_csv(tmp_path / "p.csv", prices)
+    rc = main(["backtest", "--prices", str(tmp_path / "p.csv"), "--method", method,
+               "--spec", "2:0.9", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: p: returns must be finite\n"
+
+
 def test_backtest_requires_exactly_one_source(tmp_path, capsys):
     rng = np.random.default_rng(66)
     write_returns_csv(tmp_path / "a.csv", rng.normal(0, 0.01, 50))
@@ -273,6 +286,10 @@ def test_regress_asset_selection(tmp_path, capsys):
     rc = main(["regress", str(table), "--assets", "bogus"])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+    for empty in (",", ""):
+        rc = main(["regress", str(table), "--assets", empty])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --assets names no asset column\n"
 
 
 def test_regress_rejects_duplicate_asset_columns(tmp_path, capsys):
@@ -330,6 +347,18 @@ def test_regress_invalid_spec_label(tmp_path, capsys):
         assert main(["regress", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert f"line 2: invalid spec label {label!r}" in err, label
+
+
+@pytest.mark.parametrize("body, message", [
+    ('"10,90%","+0.1\n"\n"x,90%",+0.1\n', "line 4: invalid spec label 'x,90%'"),
+    ('"10,90%",' + "1" * 140_000 + "\n", "line 2: field larger than field limit (131072)"),
+    ('"10,90%",zz\n', "line 2: unparseable cell 'zz' in column 'one'"),
+], ids=["after-multiline-cell", "huge-cell", "bad-cell"])
+def test_regress_input_errors_name_table_and_line(tmp_path, capsys, body, message):
+    table = tmp_path / "t.csv"
+    table.write_text("spec,one\n" + body, encoding="utf-8")
+    assert main(["regress", str(table)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}: {message}")
 
 
 def test_axioms_output(capsys):

@@ -111,6 +111,18 @@ def test_to_returns_needs_two_prices():
         to_returns(series)
 
 
+@pytest.mark.parametrize("prices, method", [
+    ([1e-300, 1e300], ReturnMethod.SIMPLE),
+    ([1e-300, 1e300], ReturnMethod.LOG),
+    ([1e300, 1e-300], ReturnMethod.LOG),
+], ids=["overflow-simple", "overflow-log", "log-of-zero"])
+def test_to_returns_out_of_range_is_one_input_error(prices, method):
+    # the suite turns warnings into errors, so a numpy RuntimeWarning on the way fails this test
+    series = PriceSeries("x", (dt.date(2010, 1, 4), dt.date(2010, 1, 5)), np.array(prices))
+    with pytest.raises(InputError, match="^x: returns must be finite$"):
+        to_returns(series, method)
+
+
 def test_round_trip_simple_returns():
     rng = np.random.default_rng(31)
     prices = 100.0 * np.cumprod(1.0 + rng.uniform(-0.05, 0.05, 40))
@@ -154,6 +166,12 @@ def test_raw_carriage_return_names_its_line(text, line):
     # library callers may pass text not read in universal-newline mode
     with pytest.raises(InputError, match=f"^x: line {line}: new-line character seen in unquoted field"):
         parse_prices(text, "x")
+
+
+def test_line_numbers_count_physical_lines():
+    # the quoted cell of line 2 ends on line 3, so the bad price is on line 4
+    with pytest.raises(InputError, match="^x: line 4: invalid price 'x'$"):
+        parse_prices('date,price\n2010-01-04,"1\n"\n2010-01-05,x\n', "x")
 
 
 def test_price_series_rejects_empty_asset_id():
