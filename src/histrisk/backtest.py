@@ -42,7 +42,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .measures import Level, QuantileConvention, _as_level, _checked_array, _finite_mean, quantile_index
+from .ingestion import ReturnSeries
+from .measures import Level, QuantileConvention, _as_level, _finite_mean, quantile_index
 
 _Row = TypeVar("_Row")
 
@@ -71,39 +72,6 @@ DEFAULT_GRID: tuple[tuple[int, float], ...] = (
 )
 
 
-def checked_series(
-    asset_id: str, dates: Iterable[dt.date], values: object, what: str
-) -> tuple[tuple[dt.date, ...], np.ndarray]:
-    """Check a dated series of ``what``; return its dates as a tuple, its values as a read-only copy."""
-    if not asset_id:
-        raise InputError("asset_id must be non-empty")
-    arr = _checked_array(values, f"{asset_id}: {what}")
-    dates = tuple(dates)
-    if arr.size != len(dates):
-        raise InputError(f"{asset_id}: got {len(dates)} dates but {arr.size} {what}")
-    for prev, curr in zip(dates, dates[1:]):
-        if curr <= prev:
-            raise InputError(f"{asset_id}: dates must be strictly increasing: {curr} does not follow {prev}")
-    return dates, arr
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Dated daily returns for one asset, strictly increasing dates."""
-
-    asset_id: str
-    dates: tuple[dt.date, ...]
-    returns: np.ndarray
-
-    def __post_init__(self) -> None:
-        dates, returns = checked_series(self.asset_id, self.dates, self.returns, "returns")
-        object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "dates", dates)
-
-    def __len__(self) -> int:
-        return int(self.returns.size)
-
-
 @dataclass(frozen=True)
 class RiskSpec:
     """One backtest configuration: window length, level and conventions.
@@ -121,6 +89,8 @@ class RiskSpec:
         n = int(self.duration_n)
         if n != self.duration_n or n < 2:
             raise InputError(f"duration must be an integer >= 2, got {self.duration_n!r}")
+        if not isinstance(self.conv, QuantileConvention):
+            raise InputError(f"unknown quantile convention: {self.conv!r}")
         object.__setattr__(self, "duration_n", n)
         object.__setattr__(self, "level", _as_level(self.level))
 

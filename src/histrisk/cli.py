@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .backtest import DEFAULT_GRID, ReturnSeries, RiskSpec, SuiteReport, parse_label, run_suite
+from .backtest import DEFAULT_GRID, RiskSpec, SuiteReport, parse_label, run_suite
 from .errors import InputError
-from .ingestion import ReturnMethod, _csv_records, parse_prices, parse_returns, to_returns
+from .ingestion import ReturnMethod, ReturnSeries, _csv_records, parse_prices, parse_returns, to_returns
 from .measures import (
     DiscreteDistribution,
     QuantileConvention,
@@ -135,12 +135,10 @@ def _render_csv(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, S
 
 
 def _render_md(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, Sequence[str]]]) -> str:
-    lines = [
-        "| " + " | ".join([corner, *columns]) + " |",
-        "|" + "|".join(["---"] * (len(columns) + 1)) + "|",
-    ]
-    for label, cells in rows:
-        lines.append("| " + " | ".join([label, *cells]) + " |")
+    grid = [[corner, *columns], *([label, *cells] for label, cells in rows)]
+    # a pipe inside a cell is written \|, GFM's escape for it, so it does not split the cell
+    lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in grid]
+    lines.insert(1, "|" + "|".join(["---"] * (len(columns) + 1)) + "|")
     return "\n".join(lines) + "\n"
 
 

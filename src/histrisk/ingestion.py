@@ -10,11 +10,14 @@ text, error tables included: the byte-order mark, csv errors, field counts and
 the physical line each record starts on.  The fast path, ``_parse_plain``, owns
 the format of a plain file: the exact header, then ``YYYY-MM-DD,<value>`` lines
 each ending in a newline, checked by one regex, converted by one ``map`` per
-column.  The series type (``PriceSeries``, ``ReturnSeries``) owns the values:
-date order, finiteness and price positivity; the fast path returns its series,
-or None when the format or the type rejects them.  The row loop, ``_row_loop``,
-then reads the records and writes every line-numbered value message.  Quoted or
-padded cells, a padded header, blank lines and raw carriage returns take it.
+column.  The series types, ``PriceSeries`` and ``ReturnSeries``, are defined
+here and own the values through one check both share, ``_check_series``: a
+non-empty asset id, finite values, one date per value and strictly increasing
+dates, to which ``PriceSeries`` adds price positivity.  The fast path returns
+its series, or None when the format or the type rejects them.  The row loop,
+``_row_loop``, then reads the records and writes every line-numbered value
+message.  Quoted or padded cells, a padded header, blank lines and raw carriage
+returns take it.
 
 The fast path splits the body in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so its transient strings stay near 64 Ki
@@ -41,7 +44,7 @@ from typing import Iterator, TypeVar
 import numpy as np
 
 from .errors import InputError
-from .backtest import ReturnSeries, checked_series
+from .measures import _checked_array
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -53,12 +56,26 @@ _NOT_PLAIN_ROW = re.compile(r"\n(?![0-9]{4}-[0-9]{2}-[0-9]{2},[^,\n\"\r]*$)", re
 # Body characters split per pass of the columnar fast path (rounded up to a line end).
 _CHUNK_CHARS = 1 << 16
 
-_Series = TypeVar("_Series", "PriceSeries", ReturnSeries)
-
-
 class ReturnMethod(enum.Enum):
     SIMPLE = "simple"
     LOG = "log"
+
+
+def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
+    """Check ``series``; store its dates as a tuple and its ``field`` values read-only, and return the values."""
+    asset_id = series.asset_id
+    if not asset_id:
+        raise InputError("asset_id must be non-empty")
+    values = _checked_array(getattr(series, field), f"{asset_id}: {field}")
+    dates = tuple(series.dates)
+    if values.size != len(dates):
+        raise InputError(f"{asset_id}: got {len(dates)} dates but {values.size} {field}")
+    for prev, curr in zip(dates, dates[1:]):
+        if curr <= prev:
+            raise InputError(f"{asset_id}: dates must be strictly increasing: {curr} does not follow {prev}")
+    object.__setattr__(series, field, values)
+    object.__setattr__(series, "dates", dates)
+    return values
 
 
 @dataclass(frozen=True)
@@ -70,14 +87,29 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        dates, prices = checked_series(self.asset_id, self.dates, self.prices, "prices")
-        if np.any(prices <= 0.0):
+        if np.any(_check_series(self, "prices") <= 0.0):
             raise InputError(f"{self.asset_id}: prices must be strictly positive")
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "dates", dates)
 
     def __len__(self) -> int:
         return int(self.prices.size)
+
+
+@dataclass(frozen=True)
+class ReturnSeries:
+    """Dated daily returns for one asset, strictly increasing dates."""
+
+    asset_id: str
+    dates: tuple[dt.date, ...]
+    returns: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_series(self, "returns")
+
+    def __len__(self) -> int:
+        return int(self.returns.size)
+
+
+_Series = TypeVar("_Series", PriceSeries, ReturnSeries)
 
 
 def _parse_plain(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series | None:

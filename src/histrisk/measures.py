@@ -244,9 +244,7 @@ def convolve_independent(a: DiscreteDistribution, b: DiscreteDistribution) -> Di
     sums = np.add.outer(a.values, b.values).ravel()
     probs = np.multiply.outer(a.probabilities, b.probabilities).ravel()
     unique, inverse = np.unique(sums, return_inverse=True)
-    merged = np.zeros(unique.size)
-    np.add.at(merged, inverse.ravel(), probs)
-    return DiscreteDistribution(unique, merged)
+    return DiscreteDistribution(unique, np.bincount(inverse.ravel(), weights=probs, minlength=unique.size))
 
 
 @dataclass(frozen=True)

@@ -119,15 +119,13 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _nonzero(1.0 + aa * d)
-        c = _nonzero(1.0 + aa / c)
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _nonzero(1.0 + aa * d)
-        c = _nonzero(1.0 + aa / c)
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise RuntimeError(f"incomplete beta continued fraction failed to converge within {_CF_MAX_ITER} iterations")

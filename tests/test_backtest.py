@@ -461,6 +461,13 @@ def test_risk_spec_validation():
         RiskSpec(10, Level(1.0))
 
 
+@pytest.mark.parametrize("conv", ["largest", None])
+def test_risk_spec_rejects_unknown_convention(conv):
+    # run_suite sorts specs by conv.value, so a string here used to escape as an AttributeError
+    with pytest.raises(InputError, match=f"^unknown quantile convention: {re.escape(repr(conv))}$"):
+        RiskSpec(10, 0.9, conv)
+
+
 def test_return_series_validation():
     dates = (dt.date(2020, 1, 2), dt.date(2020, 1, 1))
     with pytest.raises(InputError, match="strictly increasing"):

@@ -117,6 +117,25 @@ def test_backtest_markdown_format(tmp_path, capsys):
     assert "Markdown" in capsys.readouterr().err
 
 
+def test_backtest_markdown_escapes_pipes_in_asset_ids(tmp_path, capsys):
+    rng = np.random.default_rng(66)
+    paths = [tmp_path / "a|b.csv", tmp_path / "c.csv"]
+    for path in paths:
+        write_returns_csv(path, rng.normal(0, 0.01, 100))
+    out = tmp_path / "report"
+    rc = main([
+        "backtest", "--returns", *map(str, paths),
+        "--spec", "10:0.9", "--format", "md", "--out", str(out),
+    ])
+    assert rc == 0
+    for name in ("var_errors.md", "tce_errors.md", "tce_nonexistence.md"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == r"| spec | a\|b | c |"
+        # header, separator and every row have the same cells between unescaped pipes
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {5}, name
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["backtest", "regress"])
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"

@@ -1,4 +1,8 @@
-"""Source checks that need no linter: no top-level import of ``src/histrisk`` goes unused."""
+"""Source checks that need no linter on ``src/histrisk``.
+
+No top-level import goes unused, and each module imports only the sibling
+modules listed before it in ``LAYERS``, so no import cycle can form.
+"""
 
 import ast
 from pathlib import Path
@@ -6,6 +10,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "histrisk"
+
+# Each module may import only the modules before it; ``__init__`` and ``__main__`` sit above them all.
+LAYERS = ("errors", "measures", "stats", "ingestion", "backtest", "cli")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +49,35 @@ def test_unused_imports_finds_only_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def sibling_imports(source: str) -> set[str]:
+    """Sibling modules imported relatively: ``from .x import y`` names ``x``, ``from . import y`` names ``y``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+    return names
+
+
+def test_sibling_imports_finds_relative_imports_only():
+    source = (
+        "import os\n"
+        "from . import __version__\n"
+        "from .errors import InputError\n"
+        "def f():\n"
+        "    from .stats import ols2\n"
+    )
+    assert sibling_imports(source) == {"__version__", "errors", "stats"}
+
+
+def test_layers_name_every_module():
+    assert {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("index, module", enumerate(LAYERS), ids=LAYERS)
+def test_imports_follow_layers(index, module):
+    imported = sibling_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    if module == "cli":
+        imported.discard("__version__")  # the package version, set in __init__
+    assert imported - set(LAYERS[:index]) == set()

@@ -1,11 +1,22 @@
 import datetime as dt
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from histrisk import InputError, PriceSeries, ReturnMethod, parse_prices, parse_returns, to_returns
+import histrisk.backtest
+import histrisk.ingestion
+from histrisk import (
+    InputError,
+    PriceSeries,
+    ReturnMethod,
+    ReturnSeries,
+    parse_prices,
+    parse_returns,
+    to_returns,
+)
 from histrisk.ingestion import _row_loop
 
 
@@ -177,6 +188,25 @@ def test_line_numbers_count_physical_lines():
 def test_price_series_rejects_empty_asset_id():
     with pytest.raises(InputError, match="asset_id"):
         PriceSeries("", (dt.date(2020, 1, 1),), np.array([1.0]))
+
+
+@pytest.mark.parametrize("series_type, field", [(PriceSeries, "prices"), (ReturnSeries, "returns")],
+                         ids=["prices", "returns"])
+@pytest.mark.parametrize("asset_id, dates, values, message", [
+    ("", (dt.date(2020, 1, 1),), [1.0], "asset_id must be non-empty"),
+    ("x", (dt.date(2020, 1, 1),), [1.0, 2.0], "x: got 1 dates but 2 {field}"),
+    ("x", (dt.date(2020, 1, 2), dt.date(2020, 1, 1)), [1.0, 2.0],
+     "x: dates must be strictly increasing: 2020-01-01 does not follow 2020-01-02"),
+    ("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [1.0, math.inf], "x: {field} must be finite"),
+], ids=["empty-asset-id", "count-mismatch", "date-order", "non-finite"])
+def test_series_types_share_one_check(series_type, field, asset_id, dates, values, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message.format(field=field))}$"):
+        series_type(asset_id, dates, np.array(values))
+
+
+def test_return_series_has_one_definition():
+    # defined in ingestion; the package and backtest re-export that one class
+    assert histrisk.ReturnSeries is histrisk.backtest.ReturnSeries is histrisk.ingestion.ReturnSeries
 
 
 def _peak_bytes(parse, text):
