@@ -21,15 +21,26 @@ With q_(k) the 0-based k-th order statistic of the window w preceding day t,
     r_t <= q_(k)  <=>  #{w <  r_t} <= k      (non-strict violation)
 
 so one rank count per day, histogrammed and cumulated over k, gives the
-violation count of every level and quantile convention at once: one pass per
-(asset, duration, strictness).  The pass compares the windows with the next
-returns in chunks of ``_CHUNK_ELEMS`` window elements, so its scratch memory
-does not grow with the series: one boolean per chunk element and one 8-byte
-count per window in the chunk, at most 64 KiB + 256 KiB (the counts peak at
-n = 2) for any n up to 2**16.  ``rolling_var_forecasts`` partitions the same
-chunks, a float copy of 512 KiB.  TCE blocks need no rolling: each
-block's window is the block before it, so the series reshapes to rows and
-one ``np.partition`` along the rows gives every block's threshold.
+violation count of every level and quantile convention at once.  And the n-day
+window of a day is the last n lags of its longest, hi-day, window, so one pass
+per (asset, strictness) serves every duration: it compares each day's return
+with its lags 1, 2, ..., hi once, adds the compares up lag by lag into the
+day's rank, and histograms the ranks of duration n once lag n is in.
+
+The pass works in tiles of at most ``_CHUNK_ELEMS`` compares (up to 255 lags
+by up to 4,096 days), so its scratch memory does not grow with the series: the
+tile's booleans (64 KiB), 17 bytes per day of a block (an 8-byte rank, the
+8-byte buffer that adds a tile's uint8 counts to it, and those counts; 68 KiB),
+and 8 (2 hi - lo - 1) bytes of padded lags for the first hi - lo days (7.7 KiB
+on ``DEFAULT_GRID``).  The budget the tests hold: one ``run_suite`` over a
+5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB under
+tracemalloc.  It measured 155 KiB, against 271 KiB with the per-duration passes
+this one replaced; the TCE blocks alone peak at 131 KiB.  ``rolling_var_forecasts``
+partitions day chunks of the same windows, a float copy of at most 512 KiB.
+
+TCE blocks need no rolling: each block's window is the block before it, so the
+series reshapes to rows and one ``np.partition`` along the rows gives every
+block's threshold.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError
 from .ingestion import ReturnSeries
@@ -91,6 +102,9 @@ class RiskSpec:
             raise InputError(f"duration must be an integer >= 2, got {self.duration_n!r}")
         if not isinstance(self.conv, QuantileConvention):
             raise InputError(f"unknown quantile convention: {self.conv!r}")
+        if not isinstance(self.strict_violation, (bool, np.bool_)):
+            raise InputError(f"strict_violation must be a bool, got {self.strict_violation!r}")
+        object.__setattr__(self, "strict_violation", bool(self.strict_violation))
         object.__setattr__(self, "duration_n", n)
         object.__setattr__(self, "level", _as_level(self.level))
 
@@ -148,22 +162,72 @@ class SuiteReport:
     skips: tuple[SkippedPair, ...]
 
 
-def _window_chunks(returns: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(windows, next returns) for every evaluation day, _CHUNK_ELEMS window elements at a time."""
-    windows = sliding_window_view(returns[:-1], n)
-    realized = returns[n:]
-    step = max(1, _CHUNK_ELEMS // n)
-    for start in range(0, realized.size, step):
-        yield windows[start:start + step], realized[start:start + step]
+def _window_chunks(
+    returns: np.ndarray, lo: int, hi: int, step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(windows, next returns) for the evaluation days lo, lo + 1, ..., ``step`` days at a time.
+
+    Each window holds the hi returns before its day, oldest first; before day
+    hi, +inf stands in for the days before the first return.  Only those hi - lo
+    days read a padded copy, of 2 hi - lo - 1 values; the rest read ``returns``.
+    A padded lag j of day t < j never reaches a count: the rank pass adds it only
+    into the ranks of durations n >= j > t, which skip day t.
+    """
+    parts = [(returns[:-1], returns[hi:])]
+    if lo < hi:
+        head = np.concatenate((np.full(hi - lo, np.inf), returns[:hi - 1]))
+        parts.insert(0, (head, returns[lo:hi]))
+    for source, realized in parts:
+        # sliding_window_view's view without its argument checks, which cost about
+        # 13 us a call on a 2-CPU x86 host: 13 ms over 1,000 short series
+        windows = as_strided(source, shape=(realized.size, hi), strides=source.strides * 2, writeable=False)
+        for start in range(0, realized.size, step):
+            yield windows[start:start + step], realized[start:start + step]
 
 
-def _violation_counts(returns: np.ndarray, n: int, strict: bool) -> np.ndarray:
-    """Entry k: evaluation days whose return violates the order statistic q_(k) of its window."""
-    rank_counts = np.zeros(n + 1, dtype=np.int64)
-    for windows, realized in _window_chunks(returns, n):
-        below = windows <= realized[:, None] if strict else windows < realized[:, None]
-        rank_counts += np.bincount(below.sum(axis=1), minlength=n + 1)
-    return np.cumsum(rank_counts)
+def _violation_counts(returns: np.ndarray, durations: Sequence[int], strict: bool) -> list[np.ndarray]:
+    """Violation counts per duration: entry k counts the evaluation days whose
+    return violates the order statistic q_(k) of its n-day window.
+
+    ``durations`` ascend, each shorter than ``returns``.  One pass serves them
+    all, since the n-day window of a day is the last n lags of its hi-day one.
+    Each day's return is compared with lags 1, 2, ..., hi in tiles of at most
+    ``_CHUNK_ELEMS`` elements; each tile's per-day count is added to the day's
+    rank, and once lag n is in, the ranks of the days t >= n are histogrammed
+    for duration n.
+    """
+    lo, hi = durations[0], durations[-1]
+    compare = np.less_equal if strict else np.less
+    # Tiles run along days, 4,096 of them at the default _CHUNK_ELEMS: on a 2-CPU
+    # x86 host a compare ran 3-4x faster per element in rows of 4,096 than of 131
+    # to 1,024.  At most 255 lags, so a tile's count per day fits a uint8.
+    days = min(returns.size - lo, max(1, _CHUNK_ELEMS // 16))
+    lags = min(255, max(1, _CHUNK_ELEMS // days))
+    rank_counts = [np.zeros(n + 1, dtype=np.int64) for n in durations]
+    day = lo
+    for windows, realized in _window_chunks(returns, lo, hi, days):
+        by_lag = windows.T[::-1]  # row j: the return j + 1 days before each day
+        rank = np.zeros(realized.size, dtype=np.intp)
+        done = 0
+        for n, counts in zip(durations, rank_counts):
+            for j in range(done, n, lags):
+                rank += compare(by_lag[j:min(j + lags, n)], realized).view(np.uint8).sum(axis=0, dtype=np.uint8)
+            done = n
+            counts += np.bincount(rank[max(0, n - day):], minlength=n + 1)
+        day += realized.size
+    return [counts.cumsum() for counts in rank_counts]
+
+
+def _rank_passes(series: ReturnSeries, specs: Sequence[RiskSpec]) -> dict[tuple[int, bool], np.ndarray]:
+    """Violation counts by (duration, strictness) for every spec with an evaluation day: one pass per strictness."""
+    counts: dict[tuple[int, bool], np.ndarray] = {}
+    for strict in {spec.strict_violation for spec in specs}:
+        durations = sorted({
+            spec.duration_n for spec in specs if spec.strict_violation == strict and spec.duration_n < len(series)
+        })
+        if durations:
+            counts.update(zip([(n, strict) for n in durations], _violation_counts(series.returns, durations, strict)))
+    return counts
 
 
 def _var_shortfall(series: ReturnSeries, n: int) -> str | None:
@@ -183,9 +247,8 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     n = spec.duration_n
     _or_raise(_var_shortfall(series, n))
     k = quantile_index(n, spec.level, spec.conv)
-    quantiles = np.concatenate([
-        np.partition(windows, k, axis=1)[:, k] for windows, _ in _window_chunks(series.returns, n)
-    ])
+    chunks = _window_chunks(series.returns, n, n, max(1, _CHUNK_ELEMS // n))
+    quantiles = np.concatenate([np.partition(windows, k, axis=1)[:, k] for windows, _ in chunks])
     values = -quantiles + 0.0  # normalize -0.0 entries
     return list(zip(series.dates[n:], values.tolist()))
 
@@ -193,15 +256,12 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
 def _var_result(
     series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray]
 ) -> VarBacktestRow | str:
-    """The VaR row of one pair or its skip reason; ``counts`` caches rank passes by (duration, strictness)."""
+    """The VaR row of one pair or its skip reason; ``counts`` holds the ``_rank_passes`` of the series."""
     n = spec.duration_n
     reason = _var_shortfall(series, n)
     if reason is not None:
         return reason
-    key = (n, spec.strict_violation)
-    if key not in counts:
-        counts[key] = _violation_counts(series.returns, *key)
-    violations = int(counts[key][quantile_index(n, spec.level, spec.conv)])
+    violations = int(counts[n, spec.strict_violation][quantile_index(n, spec.level, spec.conv)])
     evaluation_days = len(series) - n
     observed_rate = violations / evaluation_days
     tail_probability = 1.0 - spec.level.alpha
@@ -258,7 +318,7 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    return _or_raise(_var_result(series, spec, {}))
+    return _or_raise(_var_result(series, spec, _rank_passes(series, [spec])))
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -323,7 +383,7 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for series in series_list:
-        counts: dict[tuple[int, bool], np.ndarray] = {}
+        counts = _rank_passes(series, spec_list)
         for spec in spec_list:
             var_result = _var_result(series, spec, counts)
             tce_result = _tce_result(series, spec)

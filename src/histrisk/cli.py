@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import os
+import shlex
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -188,12 +189,12 @@ def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
         f"violation = {'strict' if first.strict_violation else 'nonstrict'}",
         f"return_method = {args.method if args.prices else 'precomputed'}",
         f"format = {args.format}",
-        "assets = " + " ".join(report.asset_ids),
-        "inputs = " + " ".join(sorted(Path(p).name for p in (args.prices or args.returns))),
+        "assets = " + " ".join(map(shlex.quote, report.asset_ids)),
+        "inputs = " + " ".join(map(shlex.quote, sorted(Path(p).name for p in (args.prices or args.returns)))),
         "specs = " + " ".join(spec.label() for spec in report.specs),
     ]
     for skip in report.skips:
-        lines.append(f"skipped = {skip.asset_id} {skip.spec.label()} {skip.kind}: {skip.reason}")
+        lines.append(f"skipped = {shlex.quote(skip.asset_id)} {skip.spec.label()} {skip.kind}: {skip.reason}")
     return "\n".join(lines) + "\n"
 
 

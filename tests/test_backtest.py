@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,6 +348,16 @@ def test_rank_pass_chunking_matches_single_chunk(monkeypatch, chunk_elems):
     assert [v for _, v in whole[0][1]] == window_oracle(series.returns, specs[0])[0]
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_rank_pass_counts_past_a_byte(strict):
+    # rising returns: every window lies below its day's return, so each rank is
+    # n; over 250 evaluation days a tile holds 255 lags, the most whose count
+    # per day fits the uint8 the pass sums a tile into
+    returns = np.arange(550.0)
+    for n, counts in zip((300, 520), backtest._violation_counts(returns, [300, 520], strict)):
+        assert counts.tolist() == [0] * n + [550 - n]
+
+
 def test_rolling_forecasts_never_negative_zero():
     series = make_series([0.0, 0.01, -0.0, 0.0, 0.0, -0.0])
     values = [v for _, v in rolling_var_forecasts(series, RiskSpec(3, Level(0.5)))]
@@ -466,6 +477,35 @@ def test_risk_spec_rejects_unknown_convention(conv):
     # run_suite sorts specs by conv.value, so a string here used to escape as an AttributeError
     with pytest.raises(InputError, match=f"^unknown quantile convention: {re.escape(repr(conv))}$"):
         RiskSpec(10, 0.9, conv)
+
+
+@pytest.mark.parametrize("strict", ["no", 1, None])
+def test_risk_spec_rejects_non_bool_strictness(strict):
+    # the rank passes group specs by strictness and run_suite sorts by it, so a
+    # truthy 'no' used to count as strict and a mix with True raised TypeError
+    with pytest.raises(InputError, match=f"^strict_violation must be a bool, got {re.escape(repr(strict))}$"):
+        RiskSpec(10, 0.9, strict_violation=strict)
+
+
+def test_risk_spec_keeps_numpy_bool_as_bool():
+    spec = RiskSpec(10, 0.9, strict_violation=np.False_)
+    assert spec.strict_violation is False
+    assert spec == RiskSpec(10, 0.9, strict_violation=False)
+
+
+def test_run_suite_scratch_stays_in_budget():
+    # the rank-pass budget in the backtest module docstring: 160 KiB for one
+    # 5,000-day asset on the default grid (the per-duration pass took 271 KiB)
+    series = make_series(np.random.default_rng(58).standard_t(4, 5000) * 0.01)
+    specs = [RiskSpec(n, Level(alpha)) for n, alpha in DEFAULT_GRID]
+    run_suite([series], specs)
+    tracemalloc.start()
+    try:
+        run_suite([series], specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 1024, f"run_suite peaked at {peak / 1024:.1f} KiB"
 
 
 def test_return_series_validation():

@@ -23,6 +23,7 @@ from histrisk import (
     tce_backtest,
     var_backtest,
 )
+import histrisk.backtest as backtest
 from histrisk.backtest import parse_label
 from histrisk.measures import quantile_index
 
@@ -48,6 +49,15 @@ def reference_violations(returns, spec):
     thresholds = -reference_var_forecasts(returns, n, spec.level, spec.conv)
     hits = realized < thresholds if spec.strict_violation else realized <= thresholds
     return int(hits.sum()), int(realized.size)
+
+
+def reference_rank_counts(returns, n, strict):
+    """Entry k: days t >= n whose return violates the k-th order statistic of the n days before it."""
+    counts = np.zeros(n, dtype=np.int64)
+    for t in range(n, returns.size):
+        ordered = np.sort(returns[t - n:t])
+        counts += returns[t] < ordered if strict else returns[t] <= ordered
+    return counts
 
 
 def reference_tce(returns, spec):
@@ -180,6 +190,43 @@ def test_run_suite_matches_loops_with_mixed_specs(assets, spec_keys, spec_rest):
                 assert_tce_row_matches(row, returns)
     for rest in (var_rows, tce_rows, skips):
         assert next(rest, None) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(3, 90),
+    levels=st.lists(LEVELS, min_size=1, max_size=3, unique=True),
+    chunk=st.sampled_from(["1", "hi-1", "hi", "3hi+1", "default"]),
+)
+def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
+    # Tie-heavy returns; durations at or past the series length must be skipped.
+    # The chunk sizes put tile edges inside the first hi - lo days, whose
+    # windows reach back before the first return.
+    returns = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))) / 50
+    durations = data.draw(st.lists(st.integers(2, size + 5), min_size=1, max_size=5, unique=True))
+    series = make_series(returns)
+    short = sorted(n for n in durations if n < returns.size)
+    hi = short[-1] if short else 2
+    chunk_elems = {"1": 1, "hi-1": hi - 1, "hi": hi, "3hi+1": 3 * hi + 1, "default": backtest._CHUNK_ELEMS}[chunk]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backtest, "_CHUNK_ELEMS", chunk_elems)
+        for strict in (True, False):
+            if short:
+                together = backtest._violation_counts(returns, short, strict)
+                for n, counts in zip(short, together):
+                    assert counts.tolist() == backtest._violation_counts(returns, [n], strict)[0].tolist()
+                    assert counts[:n].tolist() == reference_rank_counts(returns, n, strict).tolist()
+                    assert counts[n] == returns.size - n
+            for conv in CONVENTIONS:
+                specs = [RiskSpec(n, Level(level), conv, strict) for n in durations for level in levels]
+                report = run_suite([series], specs)
+                rows = {row.spec: row for row in report.var_rows}
+                for spec in specs:
+                    if spec.duration_n < returns.size:
+                        assert (rows[spec].violations, rows[spec].evaluation_days) == reference_violations(returns, spec)
+                    else:
+                        assert spec not in rows
 
 
 LABEL_SERIES = ReturnSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), np.array([0.01, -0.02]))

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,23 @@ def test_backtest_markdown_escapes_pipes_in_asset_ids(tmp_path, capsys):
         # header, separator and every row have the same cells between unescaped pipes
         assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {5}, name
     capsys.readouterr()
+
+
+def test_backtest_metadata_quotes_ids_and_inputs(tmp_path):
+    rng = np.random.default_rng(67)
+    paths = [tmp_path / "a b.csv", tmp_path / "c.csv"]
+    write_returns_csv(paths[0], rng.normal(0, 0.01, 60))
+    write_returns_csv(paths[1], rng.normal(0, 0.01, 60))
+    out = tmp_path / "report"
+    rc = main(["backtest", "--returns", *map(str, paths), "--spec", "10:0.9", "--spec", "50:0.9", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    fields = dict(line.split(" = ", 1) for line in lines if not line.startswith("skipped = "))
+    assert shlex.split(fields["assets"]) == ["a b", "c"]
+    assert shlex.split(fields["inputs"]) == ["a b.csv", "c.csv"]
+    skipped = [line for line in lines if line.startswith("skipped = ")]
+    assert skipped[0].startswith("skipped = 'a b' 50,90% tce: ")
+    assert skipped[1].startswith("skipped = c 50,90% tce: ")
 
 
 @pytest.mark.parametrize("command", ["backtest", "regress"])
