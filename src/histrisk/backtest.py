@@ -58,10 +58,12 @@ from .measures import Level, QuantileConvention, _as_level, _finite_mean, quanti
 
 _Row = TypeVar("_Row")
 
-# Window elements compared per chunk in the rolling kernels.  On a 2-CPU x86
-# host, chunks of 2**14 to 2**20 elements ran equally fast, but 1 MiB
-# comparison blocks (2**20) raised the peak RSS of a 13-spec CLI run over
-# 10 x 5,000 returns by 1.5 MB, against 0.2 MB at 2**16.
+# Window elements compared per tile or chunk in the rolling kernels.  On a
+# 2-CPU x86 host the rank pass over 10 x 5,000 returns and six durations took
+# 39 ms at 2**14, 19 ms at 2**16 and 9 ms at 2**18, but its scratch grows with
+# the tile; with the earlier per-duration pass, 1 MiB comparison blocks (2**20)
+# raised the peak RSS of a 13-spec CLI run over those returns by 1.5 MB,
+# against 0.2 MB at 2**16.
 _CHUNK_ELEMS = 1 << 16
 
 # Default backtest grid: horizons from two trading weeks to two trading years,
@@ -186,15 +188,10 @@ def _window_chunks(
 
 
 def _violation_counts(returns: np.ndarray, durations: Sequence[int], strict: bool) -> list[np.ndarray]:
-    """Violation counts per duration: entry k counts the evaluation days whose
-    return violates the order statistic q_(k) of its n-day window.
+    """Per duration n (ascending, each shorter than ``returns``): entry k counts the
+    evaluation days t >= n whose return violates q_(k) of its n-day window.
 
-    ``durations`` ascend, each shorter than ``returns``.  One pass serves them
-    all, since the n-day window of a day is the last n lags of its hi-day one.
-    Each day's return is compared with lags 1, 2, ..., hi in tiles of at most
-    ``_CHUNK_ELEMS`` elements; each tile's per-day count is added to the day's
-    rank, and once lag n is in, the ranks of the days t >= n are histogrammed
-    for duration n.
+    One pass over lags 1..hi serves every duration, as the module docstring says.
     """
     lo, hi = durations[0], durations[-1]
     compare = np.less_equal if strict else np.less
@@ -215,7 +212,7 @@ def _violation_counts(returns: np.ndarray, durations: Sequence[int], strict: boo
             done = n
             counts += np.bincount(rank[max(0, n - day):], minlength=n + 1)
         day += realized.size
-    return [counts.cumsum() for counts in rank_counts]
+    return [np.cumsum(counts, out=counts) for counts in rank_counts]
 
 
 def _rank_passes(series: ReturnSeries, specs: Sequence[RiskSpec]) -> dict[tuple[int, bool], np.ndarray]:
