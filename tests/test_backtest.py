@@ -494,8 +494,8 @@ def test_risk_spec_keeps_numpy_bool_as_bool():
 
 
 def test_run_suite_scratch_stays_in_budget():
-    # the rank-pass budget in the backtest module docstring: 160 KiB for one
-    # 5,000-day asset on the default grid (the per-duration pass took 271 KiB)
+    # the budget in the backtest module docstring: 160 KiB for one 5,000-day
+    # asset on the default grid
     series = make_series(np.random.default_rng(58).standard_t(4, 5000) * 0.01)
     specs = [RiskSpec(n, Level(alpha)) for n, alpha in DEFAULT_GRID]
     run_suite([series], specs)

@@ -224,7 +224,8 @@ def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
                 rows = {row.spec: row for row in report.var_rows}
                 for spec in specs:
                     if spec.duration_n < returns.size:
-                        assert (rows[spec].violations, rows[spec].evaluation_days) == reference_violations(returns, spec)
+                        row = rows[spec]
+                        assert (row.violations, row.evaluation_days) == reference_violations(returns, spec)
                     else:
                         assert spec not in rows
 
