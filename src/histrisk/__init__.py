@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .backtest import (
     DEFAULT_GRID,
-    ReturnSeries,
     RiskSpec,
     SkippedPair,
     SuiteReport,
@@ -16,7 +15,7 @@ from .backtest import (
     var_backtest,
 )
 from .errors import InputError, SingularDesignError
-from .ingestion import PriceSeries, ReturnMethod, parse_prices, parse_returns, to_returns
+from .ingestion import PriceSeries, ReturnMethod, ReturnSeries, parse_prices, parse_returns, to_returns
 from .measures import (
     AxiomReport,
     DiscreteDistribution,

@@ -11,8 +11,9 @@ judged against a forecast computed from the n days strictly before it.
   expectation "did not exist" there -- and is counted, not errored.
 
 One function per kind, ``_var_result`` and ``_tce_result``, returns a pair's
-row or the reason it is skipped (too few returns, or no defined prediction):
-``run_suite`` records the reason, ``var_backtest`` and ``tce_backtest`` raise it.
+row or raises ``_Skip``, the InputError that says why the pair cannot be scored
+(too few returns, or no defined prediction): ``run_suite`` records it as a
+SkippedPair, and ``var_backtest`` and ``tce_backtest`` let it propagate.
 
 Both backtests are computed by vectorised kernels rather than per-day loops.
 With q_(k) the 0-based k-th order statistic of the window w preceding day t,
@@ -34,20 +35,31 @@ tile's booleans (64 KiB), 17 bytes per day of a block (an 8-byte rank, the
 and 8 (2 hi - lo - 1) bytes of padded lags for the first hi - lo days (7.7 KiB
 on ``DEFAULT_GRID``).  The budget the tests hold: one ``run_suite`` over a
 5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB under
-tracemalloc.  It measured 155 KiB, against 271 KiB with the per-duration passes
-this one replaced; the TCE blocks alone peak at 131 KiB.  ``rolling_var_forecasts``
-partitions day chunks of the same windows, a float copy of at most 512 KiB.
+tracemalloc.  It measured 154 KiB, against 271 KiB with the per-duration passes
+this one replaced; the TCE side alone peaks at 132 KiB (below).
+``rolling_var_forecasts`` partitions day chunks of the same windows, a float
+copy of at most 512 KiB.
 
-TCE blocks need no rolling: each block's window is the block before it, so the
-series reshapes to rows and one ``np.partition`` along the rows gives every
-block's threshold.
+TCE blocks need no rolling: each block's window is the block before it.  So
+``_tce_blocks`` sorts every whole n-day block once and keeps, beside the sorted
+rows, the mean of each block's j + 1 smallest returns for every j: one row-wise
+prefix sum, divided by 1..n and rescaled only where it overflowed.  The tail
+{x < q} or {x <= q} of a sorted row is a prefix of it, so a spec only reads the
+table: its thresholds are column k of the window rows, its two tail counts are
+compares with them, and both tail means are gathers.  One table per (asset,
+duration) serves every level, quantile convention and strictness.  It holds 16
+bytes per day (78 KiB on 5,000 days); a broadcast divide or compare adds
+NumPy's iterator buffer of up to 8,192 elements.  ``run_suite`` builds a
+duration's table only for a series of at least 2n returns, and drops it before
+the next table or rank pass: two live tables would break the budget.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -55,8 +67,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import InputError
 from .ingestion import ReturnSeries
 from .measures import Level, QuantileConvention, _as_level, _finite_mean, quantile_index
-
-_Row = TypeVar("_Row")
 
 # Window elements compared per tile or chunk in the rolling kernels.  On a
 # 2-CPU x86 host the rank pass over 10 x 5,000 returns and six durations took
@@ -227,22 +237,20 @@ def _rank_passes(series: ReturnSeries, specs: Sequence[RiskSpec]) -> dict[tuple[
     return counts
 
 
-def _var_shortfall(series: ReturnSeries, n: int) -> str | None:
-    """Why ``series`` has no VaR evaluation day at duration n, or None when it has one."""
-    return f"{len(series)} returns < required {n + 1}" if len(series) <= n else None
+class _Skip(InputError):
+    """A pair a backtest cannot score: ``run_suite`` records it, the public backtests raise it."""
 
 
-def _or_raise(result: _Row | str) -> _Row:
-    """``result`` itself, unless it is a skip reason: that is raised as an InputError."""
-    if isinstance(result, str):
-        raise InputError(result)
-    return result
+def _require(series: ReturnSeries, days: int) -> None:
+    """Raise _Skip unless ``series`` holds at least ``days`` returns."""
+    if len(series) < days:
+        raise _Skip(f"{len(series)} returns < required {days}")
 
 
 def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt.date, float]]:
     """Daily VaR forecasts as (date, var) pairs, dated by the day being forecast."""
     n = spec.duration_n
-    _or_raise(_var_shortfall(series, n))
+    _require(series, n + 1)
     k = quantile_index(n, spec.level, spec.conv)
     chunks = _window_chunks(series.returns, n, n, max(1, _CHUNK_ELEMS // n))
     quantiles = np.concatenate([np.partition(windows, k, axis=1)[:, k] for windows, _ in chunks])
@@ -250,14 +258,10 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     return list(zip(series.dates[n:], values.tolist()))
 
 
-def _var_result(
-    series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray]
-) -> VarBacktestRow | str:
-    """The VaR row of one pair or its skip reason; ``counts`` holds the ``_rank_passes`` of the series."""
+def _var_result(series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray]) -> VarBacktestRow:
+    """The VaR row of one pair; ``counts`` holds the ``_rank_passes`` of the series."""
     n = spec.duration_n
-    reason = _var_shortfall(series, n)
-    if reason is not None:
-        return reason
+    _require(series, n + 1)
     violations = int(counts[n, spec.strict_violation][quantile_index(n, spec.level, spec.conv)])
     evaluation_days = len(series) - n
     observed_rate = violations / evaluation_days
@@ -273,49 +277,51 @@ def _var_result(
     )
 
 
-def _tail_means(rows: np.ndarray, in_tail: np.ndarray) -> np.ndarray:
-    """Mean of each row over its ``in_tail`` entries (at least one per row)."""
-    return _finite_mean(lambda r: np.where(in_tail, r, 0.0).sum(axis=1) / in_tail.sum(axis=1), rows)
+def _tce_blocks(series: ReturnSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole n-day blocks of ``series``, each sorted, and at [i, j] the mean of block i's j + 1 smallest returns."""
+    _require(series, 2 * n)
+    rows = np.sort(series.returns[:len(series) // n * n].reshape(-1, n), axis=1)
+    sizes = np.arange(1.0, n + 1)
+
+    def prefix_means(values: np.ndarray) -> np.ndarray:
+        sums = np.cumsum(values, axis=1)
+        sums /= sizes
+        return sums
+
+    return rows, _finite_mean(prefix_means, rows)
 
 
-def _tce_result(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow | str:
-    """The TCE backtest row of one pair, or the reason it is skipped."""
-    n = spec.duration_n
-    if len(series) < 2 * n:
-        return f"{len(series)} returns < required {2 * n}"
-    k = quantile_index(n, spec.level, spec.conv)
+def _tce_result(series: ReturnSeries, spec: RiskSpec, table: tuple[np.ndarray, np.ndarray]) -> TceBacktestRow:
+    """The TCE backtest row of one pair, read off the ``_tce_blocks`` of its series and duration."""
+    rows, means = table
+    k = quantile_index(spec.duration_n, spec.level, spec.conv)
     in_tail = np.less if spec.strict_violation else np.less_equal
-    rows = series.returns[:len(series) // n * n].reshape(-1, n)
-    windows, blocks = rows[:-1], rows[1:]
-    q = np.partition(windows, k, axis=1)[:, k:k + 1]
-    window_tail = in_tail(windows, q)
-    hits = in_tail(blocks, q)
-    defined = window_tail.any(axis=1)
-    evaluated = int(defined.sum())
+    q = rows[:-1, k:k + 1]
+    window_tail = in_tail(rows[:-1], q).sum(axis=1)
+    hits = in_tail(rows[1:], q).sum(axis=1)
+    evaluated = int(np.count_nonzero(window_tail))
     if evaluated == 0:
-        return (
+        raise _Skip(
             f"{series.asset_id}: predicted tail expectation undefined for every block "
-            f"(duration {n}, level {spec.level.alpha:g}, strict conditioning)"
+            f"(duration {spec.duration_n}, level {spec.level.alpha:g}, strict conditioning)"
         )
-    scored = defined & hits.any(axis=1)
-    window_tail, hits = window_tail[scored], hits[scored]
-    predicted_mean = _tail_means(windows[scored], window_tail)
-    realized_mean = _tail_means(blocks[scored], hits)
-    nonexistent = evaluated - int(scored.sum())
+    scored = np.flatnonzero((window_tail > 0) & (hits > 0))
+    block_errors = means[scored + 1, hits[scored] - 1] - means[scored, window_tail[scored] - 1]
+    nonexistent = evaluated - scored.size
     return TceBacktestRow(
         asset_id=series.asset_id,
         spec=spec,
         blocks_total=evaluated,
         blocks_nonexistent=nonexistent,
         nonexistence_rate=nonexistent / evaluated,
-        mean_error=float(_finite_mean(np.mean, realized_mean - predicted_mean)) if scored.any() else None,
-        blocks_undefined_prediction=windows.shape[0] - evaluated,
+        mean_error=float(_finite_mean(np.mean, block_errors)) if scored.size else None,
+        blocks_undefined_prediction=window_tail.size - evaluated,
     )
 
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    return _or_raise(_var_result(series, spec, _rank_passes(series, [spec])))
+    return _var_result(series, spec, _rank_passes(series, [spec]))
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -329,7 +335,7 @@ def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
     ``blocks_undefined_prediction``.  Block error = realized mean of violating
     returns + predicted tail expectation.
     """
-    return _or_raise(_tce_result(series, spec))
+    return _tce_result(series, spec, _tce_blocks(series, spec.duration_n))
 
 
 def _check_labels(specs: Sequence[RiskSpec]) -> None:
@@ -381,14 +387,20 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     skips: list[SkippedPair] = []
     for series in series_list:
         counts = _rank_passes(series, spec_list)
-        for spec in spec_list:
-            var_result = _var_result(series, spec, counts)
-            tce_result = _tce_result(series, spec)
-            for kind, result, rows in (("var", var_result, var_rows), ("tce", tce_result, tce_rows)):
-                if isinstance(result, str):
-                    skips.append(SkippedPair(series.asset_id, spec, kind, result))
-                else:
-                    rows.append(result)
+        for n, same_n in itertools.groupby(spec_list, key=lambda spec: spec.duration_n):
+            table = None  # built by the first TCE pair that needs it
+            for spec in same_n:
+                try:
+                    var_rows.append(_var_result(series, spec, counts))
+                except _Skip as skip:
+                    skips.append(SkippedPair(series.asset_id, spec, "var", str(skip)))
+                try:
+                    if table is None:
+                        table = _tce_blocks(series, n)
+                    tce_rows.append(_tce_result(series, spec, table))
+                except _Skip as skip:
+                    skips.append(SkippedPair(series.asset_id, spec, "tce", str(skip)))
+            del table  # not alive through the next table or the next asset's rank pass
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

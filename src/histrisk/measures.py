@@ -146,17 +146,16 @@ def _finite_mean(mean_of: Callable[[np.ndarray], np.ndarray], values: np.ndarray
 
     A mean of finite values lies between their extremes, but its running sum
     can overflow.  Only where it did is the mean recomputed as
-    ``scale * mean_of(values / scale)`` with ``scale`` the largest magnitude
-    along the last axis, so ordinary inputs keep the plain float operations.
+    ``scale * mean_of(values / scale)`` with ``scale`` the largest magnitude in
+    ``values``, so ordinary inputs keep the plain float operations.  One scale
+    serves means of any shape, such as the prefix means of sorted rows.
     """
     with np.errstate(over="ignore"):
         means = mean_of(values)
     if np.isfinite(means).all():
         return means
-    scale = np.abs(values).max(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):  # 0 / 0 on an all-zero row, whose plain mean is kept
-        rescaled = scale[..., 0] * mean_of(values / scale)
-    return np.where(np.isfinite(means), means, rescaled)
+    scale = np.abs(values).max()  # > 0, since a sum overflowed
+    return np.where(np.isfinite(means), means, scale * mean_of(values / scale))
 
 
 def _quantile(sample: Sample | Sequence[float], level: Level | float, conv: QuantileConvention) -> float:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -506,6 +507,39 @@ def test_run_suite_scratch_stays_in_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 160 * 1024, f"run_suite peaked at {peak / 1024:.1f} KiB"
+
+
+def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
+    # one table per (asset, duration) serves every level, convention and
+    # strictness; a series shorter than 2n returns gets none, since all its
+    # pairs are skipped; and no table is alive while the next one is built or
+    # the next asset's rank pass runs, which the scratch budget relies on
+    built, tables = [], []
+    tce_blocks, rank_passes = backtest._tce_blocks, backtest._rank_passes
+
+    def alone(build):
+        def checked(series, arg):
+            assert all(table() is None for table in tables)
+            return build(series, arg)
+        return checked
+
+    def counted(series, n):
+        rows, means = tce_blocks(series, n)
+        built.append((series.asset_id, n))
+        tables.extend((weakref.ref(rows), weakref.ref(means)))
+        return rows, means
+
+    monkeypatch.setattr(backtest, "_tce_blocks", alone(counted))
+    monkeypatch.setattr(backtest, "_rank_passes", alone(rank_passes))
+    rng = np.random.default_rng(59)
+    series = [make_series(rng.normal(size=size), asset=f"a{size}") for size in (3, 9, 10, 19, 20, 41, 120)]
+    durations = (2, 5, 10, 20, 50)
+    expected = sorted((s.asset_id, n) for s in series for n in durations if 2 * n <= len(s))
+    for conv in (LARGEST, SMALLEST):
+        for strict in (True, False):
+            built.clear()
+            run_suite(series, [RiskSpec(n, Level(alpha), conv, strict) for n in durations for alpha in (0.5, 0.9, 0.95)])
+            assert sorted(built) == expected
 
 
 def test_return_series_validation():

@@ -118,9 +118,9 @@ def assert_tce_row_matches(row, returns):
     expected = reference_tce(returns, row.spec)
     assert expected is not None
     evaluated, nonexistent, undefined, mean_error = expected
-    assert (row.blocks_total, row.blocks_nonexistent, row.blocks_undefined_prediction) == (
-        evaluated, nonexistent, undefined,
-    )
+    counts = (row.blocks_total, row.blocks_nonexistent, row.blocks_undefined_prediction)
+    assert counts == (evaluated, nonexistent, undefined)
+    assert all(type(count) is int for count in counts)
     assert row.nonexistence_rate == nonexistent / evaluated
     assert_mean_error_close(row.mean_error, mean_error, returns)
 
@@ -202,7 +202,8 @@ def test_run_suite_matches_loops_with_mixed_specs(assets, spec_keys, spec_rest):
 def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
     # Tie-heavy returns; durations at or past the series length must be skipped.
     # The chunk sizes put tile edges inside the first hi - lo days, whose
-    # windows reach back before the first return.
+    # windows reach back before the first return.  Each duration's TCE table
+    # serves all its levels: every TCE row or skip must match the block loop.
     returns = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))) / 50
     durations = data.draw(st.lists(st.integers(2, size + 5), min_size=1, max_size=5, unique=True))
     series = make_series(returns)
@@ -222,12 +223,21 @@ def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
                 specs = [RiskSpec(n, Level(level), conv, strict) for n in durations for level in levels]
                 report = run_suite([series], specs)
                 rows = {row.spec: row for row in report.var_rows}
+                tce_rows = {row.spec: row for row in report.tce_rows}
+                tce_skips = {skip.spec: skip.reason for skip in report.skips if skip.kind == "tce"}
                 for spec in specs:
-                    if spec.duration_n < returns.size:
+                    n = spec.duration_n
+                    if n < returns.size:
                         row = rows[spec]
                         assert (row.violations, row.evaluation_days) == reference_violations(returns, spec)
                     else:
                         assert spec not in rows
+                    if returns.size < 2 * n:
+                        assert tce_skips[spec] == f"{returns.size} returns < required {2 * n}"
+                    elif reference_tce(returns, spec) is None:
+                        assert "undefined for every block" in tce_skips[spec]
+                    else:
+                        assert_tce_row_matches(tce_rows[spec], returns)
 
 
 LABEL_SERIES = ReturnSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), np.array([0.01, -0.02]))
