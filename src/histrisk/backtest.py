@@ -24,19 +24,36 @@ With q_(k) the 0-based k-th order statistic of the window w preceding day t,
 so one rank count per day, histogrammed and cumulated over k, gives the
 violation count of every level and quantile convention at once.  And the n-day
 window of a day is the last n lags of its longest, hi-day, window, so one pass
-per (asset, strictness) serves every duration: it compares each day's return
-with its lags 1, 2, ..., hi once, adds the compares up lag by lag into the
-day's rank, and histograms the ranks of duration n once lag n is in.
+per strictness serves every duration: it compares each day's return with its
+lags 1, 2, ..., hi once, adds the compares up lag by lag into the day's rank,
+and histograms the ranks of duration n once lag n is in.
+
+The pass ranks a stack of series at once.  ``run_suite`` stacks runs of
+consecutive equal-length series, up to ``_CHUNK_ELEMS // 16`` returns (32 KiB)
+a stack, as the columns of one block, so a day's returns are one row and lag j
+of every series is the row j days up; longer series are one-column stacks,
+viewed in place.  Each column's ranks are offset by the column times hi + 1, so
+one ``bincount`` per duration histograms every series of the stack.  The rows
+of a stack are emitted before the next stack is ranked.  On 1,000 series of 300
+returns at 250:0.99 this took the rank passes from 51-53 to 16-17 ms and
+``run_suite`` from 63-65 to 28-29 ms (medians of 9 calls, 2-CPU x86 host).
 
 The pass works in tiles of at most ``_CHUNK_ELEMS`` compares (up to 255 lags
-by up to 4,096 days), so its scratch memory does not grow with the series: the
-tile's booleans (64 KiB), 17 bytes per day of a block (an 8-byte rank, the
-8-byte buffer that adds a tile's uint8 counts to it, and those counts; 68 KiB),
-and 8 (2 hi - lo - 1) bytes of padded lags for the first hi - lo days (7.7 KiB
-on ``DEFAULT_GRID``).  The budget the tests hold: one ``run_suite`` over a
-5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB under
-tracemalloc.  It measured 154 KiB, against 271 KiB with the per-duration passes
-this one replaced; the TCE side alone peaks at 132 KiB (below).
+by up to 2,048 cells, a cell being one day of one series), so its scratch does
+not grow with the series or the stack: the tile's booleans (64 KiB), 17 bytes
+per cell of a block (an 8-byte rank, the 8-byte buffer that adds a tile's uint8
+counts to it, and those counts; 34 KiB), the counts, 8 (n + 1) bytes per series
+and duration, a bincount of 8 (hi + 1) bytes per series, and 8 (2 hi - lo - 1)
+bytes of padded lags per series for the first hi - lo days (7.7 KiB on
+``DEFAULT_GRID``).  The compares run with NumPy's ufunc buffer set to one tile
+row: at its default of 8,192 elements NumPy copied a tile whose rows are
+shorter than about 4,096 cells through up to 128 KiB of buffers, whether or not
+the next returns were broadcast to the tile's shape first, and took 1.5-3x as
+long.  The budgets the tests hold, under tracemalloc: one ``run_suite`` over a
+5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB (measured
+143 KiB; the TCE side alone peaks at 132 KiB, below, and the rank pass at 123
+KiB), and one over 1,000 series of 300 returns at 250:0.99 peaks no more than
+192 KiB above the report it returns (measured 165 KiB, with a 13-series stack).
 ``rolling_var_forecasts`` partitions day chunks of the same windows, a float
 copy of at most 512 KiB.
 
@@ -49,9 +66,12 @@ table: its thresholds are column k of the window rows, its two tail counts are
 compares with them, and both tail means are gathers.  One table per (asset,
 duration) serves every level, quantile convention and strictness.  It holds 16
 bytes per day (78 KiB on 5,000 days); a broadcast divide or compare adds
-NumPy's iterator buffer of up to 8,192 elements.  ``run_suite`` builds a
-duration's table only for a series of at least 2n returns, and drops it before
-the next table or rank pass: two live tables would break the budget.
+NumPy's buffer of up to 8,192 elements (40 KiB for the divide by 1..n).  Neither
+broadcasting 1..n to the table's shape first nor a buffer of one row avoided it
+cheaply: the first still allocated it, and the second made the divide of a
+500 x 10 table 5x slower.  ``run_suite`` builds a duration's table only for a
+series of at least 2n returns, and drops it before the next table or rank pass:
+two live tables would break the budget.
 """
 
 from __future__ import annotations
@@ -175,66 +195,112 @@ class SuiteReport:
 
 
 def _window_chunks(
-    returns: np.ndarray, lo: int, hi: int, step: int
+    block: np.ndarray, lo: int, hi: int, step: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(windows, next returns) for the evaluation days lo, lo + 1, ..., ``step`` days at a time.
+    """(windows, next returns) of every column for the evaluation days lo, lo + 1, ..., ``step`` days at a time.
 
-    Each window holds the hi returns before its day, oldest first; before day
-    hi, +inf stands in for the days before the first return.  Only those hi - lo
-    days read a padded copy, of 2 hi - lo - 1 values; the rest read ``returns``.
-    A padded lag j of day t < j never reaches a count: the rank pass adds it only
-    into the ranks of durations n >= j > t, which skip day t.
+    ``block`` holds one series per column, so a day's returns are one row.  Each
+    window holds the hi returns before its day, oldest first; before day hi, +inf
+    stands in for the days before the first return.  Only those hi - lo days read
+    a padded copy, of 2 hi - lo - 1 rows; the rest read ``block``.  A padded lag j
+    of day t < j never reaches a count: the rank pass adds it only into the ranks
+    of durations n >= j > t, which skip day t.
     """
-    parts = [(returns[:-1], returns[hi:])]
+    parts = [(block[:-1], block[hi:])]
     if lo < hi:
-        head = np.concatenate((np.full(hi - lo, np.inf), returns[:hi - 1]))
-        parts.insert(0, (head, returns[lo:hi]))
+        head = np.concatenate((np.full((hi - lo, block.shape[1]), np.inf), block[:hi - 1]))
+        parts.insert(0, (head, block[lo:hi]))
     for source, realized in parts:
         # sliding_window_view's view without its argument checks, which cost about
         # 13 us a call on a 2-CPU x86 host: 13 ms over 1,000 short series
-        windows = as_strided(source, shape=(realized.size, hi), strides=source.strides * 2, writeable=False)
-        for start in range(0, realized.size, step):
+        day_stride, column_stride = source.strides
+        windows = as_strided(
+            source, shape=(*realized.shape, hi), strides=(day_stride, column_stride, day_stride), writeable=False
+        )
+        for start in range(0, len(realized), step):
             yield windows[start:start + step], realized[start:start + step]
 
 
-def _violation_counts(returns: np.ndarray, durations: Sequence[int], strict: bool) -> list[np.ndarray]:
-    """Per duration n (ascending, each shorter than ``returns``): entry k counts the
-    evaluation days t >= n whose return violates q_(k) of its n-day window.
+def _violation_counts(block: np.ndarray, durations: Sequence[int], strict: bool) -> list[np.ndarray]:
+    """Per duration n (ascending, each shorter than the series in ``block``'s
+    columns): entry [c, k] counts the evaluation days t >= n whose return in
+    column c violates q_(k) of its n-day window.
 
-    One pass over lags 1..hi serves every duration, as the module docstring says.
+    One pass over lags 1..hi serves every duration and column, as the module
+    docstring says.
     """
     lo, hi = durations[0], durations[-1]
+    columns = block.shape[1]
     compare = np.less_equal if strict else np.less
-    # Tiles run along days, 4,096 of them at the default _CHUNK_ELEMS: on a 2-CPU
-    # x86 host a compare ran 3-4x faster per element in rows of 4,096 than of 131
-    # to 1,024.  At most 255 lags, so a tile's count per day fits a uint8.
-    days = min(returns.size - lo, max(1, _CHUNK_ELEMS // 16))
-    lags = min(255, max(1, _CHUNK_ELEMS // days))
-    rank_counts = [np.zeros(n + 1, dtype=np.int64) for n in durations]
+    # A tile runs along up to 2,048 cells (day, column) at the default
+    # _CHUNK_ELEMS: on a 2-CPU x86 host, with the buffer below, a tile of 65,536
+    # compares took 26, 20, 17 and 19 us in rows of 512, 1,024, 2,048 and 4,096
+    # cells.  At most 255 lags, so a tile's count per cell fits a uint8.
+    days = min(len(block) - lo, max(1, _CHUNK_ELEMS // 32 // columns))
+    cells = days * columns
+    lags = min(255, max(1, _CHUNK_ELEMS // cells))
+    tile = np.empty(lags * cells, dtype=bool)
+    tile_counts = np.empty(cells, dtype=np.uint8)
+    ranks = np.empty(cells, dtype=np.intp)
+    # column c's ranks start at c (hi + 1), so one bincount histograms every column
+    width = hi + 1
+    column_bins = np.arange(0, columns * width, width)
+    rank_counts = [np.zeros((columns, n + 1), dtype=np.int64) for n in durations]
     day = lo
-    for windows, realized in _window_chunks(returns, lo, hi, days):
-        by_lag = windows.T[::-1]  # row j: the return j + 1 days before each day
-        rank = np.zeros(realized.size, dtype=np.intp)
+    for windows, realized in _window_chunks(block, lo, hi, days):
+        by_lag = windows.transpose(2, 0, 1)[::-1]  # row j: the returns j + 1 days before each cell
+        rank = ranks[:realized.size].reshape(realized.shape)
+        rank[...] = column_bins
         done = 0
-        for n, counts in zip(durations, rank_counts):
-            for j in range(done, n, lags):
-                rank += compare(by_lag[j:min(j + lags, n)], realized).view(np.uint8).sum(axis=0, dtype=np.uint8)
-            done = n
-            counts += np.bincount(rank[max(0, n - day):], minlength=n + 1)
-        day += realized.size
-    return [np.cumsum(counts, out=counts) for counts in rank_counts]
+        tile_rank = tile_counts[:rank.size].reshape(rank.shape)
+        # a ufunc buffer of one tile row (rounded up to the multiple of 16 NumPy
+        # requires) keeps the compares in place; see the module docstring
+        previous_bufsize = np.setbufsize(-(-rank.size // 16) * 16)
+        try:
+            for n, counts in zip(durations, rank_counts):
+                for j in range(done, n, lags):
+                    lagged = by_lag[j:min(j + lags, n)]
+                    hits = compare(lagged, realized, out=tile[:lagged.size].reshape(lagged.shape))
+                    rank += hits.view(np.uint8).sum(axis=0, dtype=np.uint8, out=tile_rank)
+                done = n
+                bins = np.bincount(rank[max(0, n - day):].ravel(), minlength=columns * width)
+                counts += bins.reshape(columns, width)[:, :n + 1]
+        finally:
+            np.setbufsize(previous_bufsize)
+        day += len(realized)
+    return [np.cumsum(counts, axis=1, out=counts) for counts in rank_counts]
 
 
-def _rank_passes(series: ReturnSeries, specs: Sequence[RiskSpec]) -> dict[tuple[int, bool], np.ndarray]:
-    """Violation counts by (duration, strictness) for every spec with an evaluation day: one pass per strictness."""
-    counts: dict[tuple[int, bool], np.ndarray] = {}
+def _rank_passes(
+    stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]
+) -> list[dict[tuple[int, bool], np.ndarray]]:
+    """Violation counts by (duration, strictness) of each series in ``stack``, for
+    every spec with an evaluation day: one pass per strictness over the whole stack.
+
+    The series in ``stack`` have one length.
+    """
+    size = len(stack[0])
+    block = stack[0].returns[:, None] if len(stack) == 1 else np.stack([series.returns for series in stack], axis=1)
+    counts: list[dict[tuple[int, bool], np.ndarray]] = [{} for _ in stack]
     for strict in {spec.strict_violation for spec in specs}:
         durations = sorted({
-            spec.duration_n for spec in specs if spec.strict_violation == strict and spec.duration_n < len(series)
+            spec.duration_n for spec in specs if spec.strict_violation == strict and spec.duration_n < size
         })
         if durations:
-            counts.update(zip([(n, strict) for n in durations], _violation_counts(series.returns, durations, strict)))
+            for n, by_column in zip(durations, _violation_counts(block, durations, strict)):
+                for series_counts, column in zip(counts, by_column):
+                    series_counts[n, strict] = column
     return counts
+
+
+def _stacks(series_list: Sequence[ReturnSeries]) -> Iterator[Sequence[ReturnSeries]]:
+    """Runs of consecutive equal-length series, in order, each of at most
+    ``_CHUNK_ELEMS // 16`` returns unless it is a single series."""
+    for size, same in itertools.groupby(series_list, key=len):
+        run = list(same)
+        per_stack = max(1, _CHUNK_ELEMS // 16 // size)
+        for start in range(0, len(run), per_stack):
+            yield run[start:start + per_stack]
 
 
 class _Skip(InputError):
@@ -252,8 +318,8 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     n = spec.duration_n
     _require(series, n + 1)
     k = quantile_index(n, spec.level, spec.conv)
-    chunks = _window_chunks(series.returns, n, n, max(1, _CHUNK_ELEMS // n))
-    quantiles = np.concatenate([np.partition(windows, k, axis=1)[:, k] for windows, _ in chunks])
+    chunks = _window_chunks(series.returns[:, None], n, n, max(1, _CHUNK_ELEMS // n))
+    quantiles = np.concatenate([np.partition(windows[:, 0], k, axis=1)[:, k] for windows, _ in chunks])
     values = -quantiles + 0.0  # normalize -0.0 entries
     return list(zip(series.dates[n:], values.tolist()))
 
@@ -321,7 +387,7 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec, table: tuple[np.ndarray, n
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    return _var_result(series, spec, _rank_passes(series, [spec]))
+    return _var_result(series, spec, _rank_passes([series], [spec])[0])
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -385,22 +451,24 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     var_rows: list[VarBacktestRow] = []
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
-    for series in series_list:
-        counts = _rank_passes(series, spec_list)
-        for n, same_n in itertools.groupby(spec_list, key=lambda spec: spec.duration_n):
-            table = None  # built by the first TCE pair that needs it
-            for spec in same_n:
-                try:
-                    var_rows.append(_var_result(series, spec, counts))
-                except _Skip as skip:
-                    skips.append(SkippedPair(series.asset_id, spec, "var", str(skip)))
-                try:
-                    if table is None:
-                        table = _tce_blocks(series, n)
-                    tce_rows.append(_tce_result(series, spec, table))
-                except _Skip as skip:
-                    skips.append(SkippedPair(series.asset_id, spec, "tce", str(skip)))
-            del table  # not alive through the next table or the next asset's rank pass
+    for stack in _stacks(series_list):
+        stack_counts = _rank_passes(stack, spec_list)
+        for series, counts in zip(stack, stack_counts):
+            for n, same_n in itertools.groupby(spec_list, key=lambda spec: spec.duration_n):
+                table = None  # built by the first TCE pair that needs it
+                for spec in same_n:
+                    try:
+                        var_rows.append(_var_result(series, spec, counts))
+                    except _Skip as skip:
+                        skips.append(SkippedPair(series.asset_id, spec, "var", str(skip)))
+                    try:
+                        if table is None:
+                            table = _tce_blocks(series, n)
+                        tce_rows.append(_tce_result(series, spec, table))
+                    except _Skip as skip:
+                        skips.append(SkippedPair(series.asset_id, spec, "tce", str(skip)))
+                del table  # not alive through the next table or the next stack's rank pass
+        del stack_counts, counts  # nor are this stack's counts
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

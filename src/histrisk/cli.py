@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 invalid input or usage, 2 internal error.  All four
 report files are rendered and written to unique temp files in the output
 directory before any is renamed over its target, so a run failing before the
 renames (bad input, a directory at a target path, a failed write) leaves the
-old files byte for byte and no temp file.  Each rename is atomic, the set is
-not: runs sharing an output directory can interleave their renames.  Output is
-byte-deterministic: fixed cell formats, sorted rows and columns, no timestamps.
+old files byte for byte and no temp file.  Each rename is atomic, and runs
+sharing an output directory take turns: each holds an exclusive flock on the
+directory from its first temp write to its last rename, so their renames never
+interleave.  The set is still not atomic: a reader can see a mixed set while
+the renames run.  Output is byte-deterministic: fixed cell formats, sorted rows
+and columns, no timestamps.
 """
 
 from __future__ import annotations
@@ -143,23 +146,35 @@ def _render_md(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, Se
 
 
 def _write_all(out_dir: Path, files: dict[str, str]) -> None:
-    """Write every file to a unique temp file in out_dir, then rename the temps over the targets."""
-    for name in files:
-        if (out_dir / name).is_dir():
-            raise IsADirectoryError(f"cannot write {out_dir / name}: it is a directory")
-    temps: list[Path] = []
+    """Write every file to a unique temp file in out_dir, then rename the temps over the targets.
+
+    An exclusive flock on out_dir itself, held from the first temp write to the
+    last rename, makes runs sharing out_dir take turns, and adds no file to it.
+    """
+    # imported here: only a backtest writes files
+    import fcntl
+
+    lock = os.open(out_dir, os.O_RDONLY)
     try:
-        for name, content in files.items():
-            # exclusive create honours the umask, unlike tempfile.mkstemp's 0600
-            tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
-            with open(tmp, "x", encoding="utf-8", newline="") as handle:
-                temps.append(tmp)
-                handle.write(content)
-        for tmp, name in zip(temps, files):
-            os.replace(tmp, out_dir / name)
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        for name in files:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(f"cannot write {out_dir / name}: it is a directory")
+        temps: list[Path] = []
+        try:
+            for name, content in files.items():
+                # exclusive create honours the umask, unlike tempfile.mkstemp's 0600
+                tmp = out_dir / f".{name}.{os.urandom(8).hex()}.tmp"
+                with open(tmp, "x", encoding="utf-8", newline="") as handle:
+                    temps.append(tmp)
+                    handle.write(content)
+            for tmp, name in zip(temps, files):
+                os.replace(tmp, out_dir / name)
+        finally:
+            for tmp in temps:
+                tmp.unlink(missing_ok=True)
     finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
+        os.close(lock)  # and with it the lock
 
 
 def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]]:

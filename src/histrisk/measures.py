@@ -65,7 +65,7 @@ def _checked_array(values: object, what: str) -> np.ndarray:
         raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise InputError(f"{what} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr

@@ -351,12 +351,14 @@ def test_rank_pass_chunking_matches_single_chunk(monkeypatch, chunk_elems):
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_rank_pass_counts_past_a_byte(strict):
-    # rising returns: every window lies below its day's return, so each rank is
-    # n; over 250 evaluation days a tile holds 255 lags, the most whose count
-    # per day fits the uint8 the pass sums a tile into
-    returns = np.arange(550.0)
-    for n, counts in zip((300, 520), backtest._violation_counts(returns, [300, 520], strict)):
-        assert counts.tolist() == [0] * n + [550 - n]
+    # two series in one block: rising returns, whose windows all lie below each
+    # day's return, so each rank is n, and falling ones, whose ranks are all 0;
+    # over 128 evaluation days of two series a tile holds 255 lags, the most
+    # whose count per cell fits the uint8 the pass sums a tile into
+    rising = np.arange(428.0)
+    block = np.stack((rising, -rising), axis=1)
+    for n, counts in zip((300, 420), backtest._violation_counts(block, [300, 420], strict)):
+        assert counts.tolist() == [[0] * n + [428 - n], [428 - n] * (n + 1)]
 
 
 def test_rolling_forecasts_never_negative_zero():
@@ -509,18 +511,37 @@ def test_run_suite_scratch_stays_in_budget():
     assert peak <= 160 * 1024, f"run_suite peaked at {peak / 1024:.1f} KiB"
 
 
+def test_run_suite_scratch_does_not_grow_with_the_series_count():
+    # 1,000 series of 300 returns at 250:0.99, a universe screen: equal-length
+    # series share a rank pass a stack at a time, and each stack's counts are
+    # dropped before the next stack is ranked, so the scratch above what the
+    # report keeps stays near one stack's (measured 165 KiB), not 2 KiB per series
+    rng = np.random.default_rng(60)
+    series = [make_series(rng.standard_t(4, 300) * 0.01, asset=f"a{i:04d}") for i in range(1000)]
+    specs = [RiskSpec(250, Level(0.99))]
+    run_suite(series, specs)
+    tracemalloc.start()
+    try:
+        report = run_suite(series, specs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.var_rows) == 1000
+    assert peak - kept <= 192 * 1024, f"run_suite peaked {(peak - kept) / 1024:.1f} KiB above its report"
+
+
 def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
     # one table per (asset, duration) serves every level, convention and
     # strictness; a series shorter than 2n returns gets none, since all its
     # pairs are skipped; and no table is alive while the next one is built or
-    # the next asset's rank pass runs, which the scratch budget relies on
-    built, tables = [], []
+    # the next stack's rank pass runs, which the scratch budget relies on
+    built, tables, stacks = [], [], []
     tce_blocks, rank_passes = backtest._tce_blocks, backtest._rank_passes
 
     def alone(build):
-        def checked(series, arg):
+        def checked(series_or_stack, arg):
             assert all(table() is None for table in tables)
-            return build(series, arg)
+            return build(series_or_stack, arg)
         return checked
 
     def counted(series, n):
@@ -529,17 +550,25 @@ def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
         tables.extend((weakref.ref(rows), weakref.ref(means)))
         return rows, means
 
+    def ranked(stack, specs):
+        stacks.append(tuple(series.asset_id for series in stack))
+        return rank_passes(stack, specs)
+
     monkeypatch.setattr(backtest, "_tce_blocks", alone(counted))
-    monkeypatch.setattr(backtest, "_rank_passes", alone(rank_passes))
+    monkeypatch.setattr(backtest, "_rank_passes", alone(ranked))
     rng = np.random.default_rng(59)
+    # a41, a41b and a41c share one stack, and so one rank pass
     series = [make_series(rng.normal(size=size), asset=f"a{size}") for size in (3, 9, 10, 19, 20, 41, 120)]
+    series += [make_series(rng.normal(size=41), asset=asset) for asset in ("a41b", "a41c")]
     durations = (2, 5, 10, 20, 50)
     expected = sorted((s.asset_id, n) for s in series for n in durations if 2 * n <= len(s))
     for conv in (LARGEST, SMALLEST):
         for strict in (True, False):
             built.clear()
+            stacks.clear()
             run_suite(series, [RiskSpec(n, Level(alpha), conv, strict) for n in durations for alpha in (0.5, 0.9, 0.95)])
             assert sorted(built) == expected
+            assert ("a41", "a41b", "a41c") in stacks and len(stacks) == 7
 
 
 def test_return_series_validation():

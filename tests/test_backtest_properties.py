@@ -197,47 +197,61 @@ def test_run_suite_matches_loops_with_mixed_specs(assets, spec_keys, spec_rest):
     data=st.data(),
     size=st.integers(3, 90),
     levels=st.lists(LEVELS, min_size=1, max_size=3, unique=True),
-    chunk=st.sampled_from(["1", "hi-1", "hi", "3hi+1", "default"]),
+    chunk=st.sampled_from(["1", "hi-1", "hi", "3hi+1", "two series", "default"]),
 )
 def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
-    # Tie-heavy returns; durations at or past the series length must be skipped.
-    # The chunk sizes put tile edges inside the first hi - lo days, whose
-    # windows reach back before the first return.  Each duration's TCE table
-    # serves all its levels: every TCE row or skip must match the block loop.
-    returns = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))) / 50
+    # Tie-heavy returns; durations at or past a series' length must be skipped.
+    # Several series, of equal and mixed lengths, in stacks of one ("1" to
+    # "3hi+1"), of at most two of ``size`` returns ("two series"), or of every
+    # equal-length neighbour ("default").  The chunk sizes put tile edges inside
+    # the first hi - lo days, whose windows reach back before the first return.
+    # Each duration's TCE table serves all its levels: every row or skip of
+    # every series must match the loops.
+    lengths = [size] + data.draw(st.lists(st.sampled_from([size, size, max(3, size - 1), size + 7]), max_size=3))
+    returns_list = [
+        np.array(data.draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length))) / 50
+        for length in lengths
+    ]
     durations = data.draw(st.lists(st.integers(2, size + 5), min_size=1, max_size=5, unique=True))
-    series = make_series(returns)
-    short = sorted(n for n in durations if n < returns.size)
+    series_list = [make_series(returns, asset=f"a{i}") for i, returns in enumerate(returns_list)]
+    short = sorted(n for n in durations if n < size)
     hi = short[-1] if short else 2
-    chunk_elems = {"1": 1, "hi-1": hi - 1, "hi": hi, "3hi+1": 3 * hi + 1, "default": backtest._CHUNK_ELEMS}[chunk]
+    chunk_elems = {
+        "1": 1, "hi-1": hi - 1, "hi": hi, "3hi+1": 3 * hi + 1,
+        "two series": 32 * size, "default": backtest._CHUNK_ELEMS,
+    }[chunk]
+    block = np.stack([returns for returns in returns_list if returns.size == size], axis=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backtest, "_CHUNK_ELEMS", chunk_elems)
         for strict in (True, False):
             if short:
-                together = backtest._violation_counts(returns, short, strict)
+                together = backtest._violation_counts(block, short, strict)
                 for n, counts in zip(short, together):
-                    assert counts.tolist() == backtest._violation_counts(returns, [n], strict)[0].tolist()
-                    assert counts[:n].tolist() == reference_rank_counts(returns, n, strict).tolist()
-                    assert counts[n] == returns.size - n
+                    for column, returns in zip(counts, block.T):
+                        alone = backtest._violation_counts(returns[:, None], [n], strict)[0]
+                        assert column.tolist() == alone[0].tolist()
+                        assert column[:n].tolist() == reference_rank_counts(returns, n, strict).tolist()
+                        assert column[n] == size - n
             for conv in CONVENTIONS:
                 specs = [RiskSpec(n, Level(level), conv, strict) for n in durations for level in levels]
-                report = run_suite([series], specs)
-                rows = {row.spec: row for row in report.var_rows}
-                tce_rows = {row.spec: row for row in report.tce_rows}
-                tce_skips = {skip.spec: skip.reason for skip in report.skips if skip.kind == "tce"}
-                for spec in specs:
-                    n = spec.duration_n
-                    if n < returns.size:
-                        row = rows[spec]
-                        assert (row.violations, row.evaluation_days) == reference_violations(returns, spec)
-                    else:
-                        assert spec not in rows
-                    if returns.size < 2 * n:
-                        assert tce_skips[spec] == f"{returns.size} returns < required {2 * n}"
-                    elif reference_tce(returns, spec) is None:
-                        assert "undefined for every block" in tce_skips[spec]
-                    else:
-                        assert_tce_row_matches(tce_rows[spec], returns)
+                report = run_suite(series_list, specs)
+                rows = {(row.asset_id, row.spec): row for row in report.var_rows}
+                tce_rows = {(row.asset_id, row.spec): row for row in report.tce_rows}
+                tce_skips = {(skip.asset_id, skip.spec): skip.reason for skip in report.skips if skip.kind == "tce"}
+                for series, returns in zip(series_list, returns_list):
+                    for spec in specs:
+                        n, pair = spec.duration_n, (series.asset_id, spec)
+                        if n < returns.size:
+                            row = rows[pair]
+                            assert (row.violations, row.evaluation_days) == reference_violations(returns, spec)
+                        else:
+                            assert pair not in rows
+                        if returns.size < 2 * n:
+                            assert tce_skips[pair] == f"{returns.size} returns < required {2 * n}"
+                        elif reference_tce(returns, spec) is None:
+                            assert "undefined for every block" in tce_skips[pair]
+                        else:
+                            assert_tce_row_matches(tce_rows[pair], returns)
 
 
 LABEL_SERIES = ReturnSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), np.array([0.01, -0.02]))

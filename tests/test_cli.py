@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import os
 import re
 import shlex
 import subprocess
@@ -216,6 +217,31 @@ def test_backtest_failed_third_file_keeps_previous_set(tmp_path, capsys, monkeyp
     assert err.startswith("error:")
     after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
     assert after == before
+
+
+def test_backtest_holds_the_output_directory_lock_while_renaming(tmp_path, monkeypatch):
+    # a second run sharing --out must wait for this run's renames: here, a
+    # second descriptor on the directory cannot take the lock during any rename
+    fcntl = pytest.importorskip("fcntl")
+    write_returns_csv(tmp_path / "a.csv", np.random.default_rng(71).normal(0, 0.01, 60))
+    out = tmp_path / "report"
+    out.mkdir()
+    replace, blocked = os.replace, []
+
+    def contended_replace(src, dst):
+        other = os.open(out, os.O_RDONLY)
+        try:
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            blocked.append(Path(dst).name)
+        finally:
+            os.close(other)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", contended_replace)
+    assert main(["backtest", "--returns", str(tmp_path / "a.csv"), "--out", str(out), "--spec", "20:0.9"]) == 0
+    assert sorted(blocked) == sorted(path.name for path in out.iterdir())
+    assert len(blocked) == 4
 
 
 def test_backtest_bad_ingestion_line_reported(tmp_path, capsys):

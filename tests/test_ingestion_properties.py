@@ -130,6 +130,10 @@ PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
 @example((PLAIN.replace("100.0", "inf").replace("price", "return"), "return"))
 @example((PLAIN.replace("100.0", "1e400").replace("price", "return"), "return"))
 @example((PLAIN.replace("2010-01-04,100.0", "2010-01-04,1,2010-01-06").replace("101.5", "7"), "price"))
+@example((PLAIN.replace("101.5", "101.5,2010-01-06,102.0"), "price"))
+@example((PLAIN.replace("101.5", '101.5"'), "price"))
+@example((PLAIN.replace("101.5", "101.5\r "), "price"))
+@example((PLAIN.replace(",100.0\n2010-01-05,", "\n100.0,2010-01-05,"), "price"))
 def test_fast_path_matches_row_loop(case):
     text, column = case
     if _fast(text, column) is not None:
