@@ -12,7 +12,7 @@ the format of a plain file: the exact header, then ``YYYY-MM-DD,<value>`` lines
 each ending in a newline, checked by C-level passes over the whole text,
 converted by one ``map`` per column.  The series types, ``PriceSeries`` and
 ``ReturnSeries``, are defined here and own the values through one check both
-share, ``_check_series``: a non-empty asset id, finite values, one date per
+share, ``_check_series``: a non-empty one-line asset id, finite values, one date per
 value and strictly increasing dates, to which ``PriceSeries`` adds price
 positivity.  The fast path returns its series, or None when the format or the
 type rejects them.  The row loop, ``_row_loop``, then reads the records and
@@ -23,6 +23,24 @@ The fast path splits the body in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so its transient strings stay near 64 Ki
 characters whatever the file's length, and its peak memory is that of the
 two result lists, below the row loop's.
+
+Files of a panel share one trading calendar, so the fast path keeps the
+calendar of the last plain file a series type accepted in one private slot,
+``_calendar``: the date column text (the date cells joined by ``","``), its
+dates, and those dates less the first.  Each chunk's date cells, joined the same
+way, are compared with the slot's text at the same offset, and no date object is
+built while they match; a whole match passes the slot's tuple itself, so every
+series on one calendar holds the same dates.  From the first chunk that differs,
+the matched dates are copied from the slot and the rest converted.
+``_check_series`` skips the date-order walk for the slot's dates and its tail,
+which passed it when first accepted, and ``to_returns`` dates a series on the
+slot by its tail.  The slot lives as long as the process and holds one
+calendar: 11 characters per date of text plus a tuple of the tail, beside dates
+its last series holds anyway.  A thread reads it once per call and replaces it
+whole, so a race between threads costs a miss, never a wrong date.  A hit
+relies on the line-prefix regex below: ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n``
+has as many commas as newlines and even cells equal to the calendar
+2020-01-01, 2020-01-02, and only the regex sends it to the row loop.
 
 The format checks are four passes that each run in C: no ``"`` and no ``\\r``
 anywhere, as many commas as newlines in the body, and a regex for the date
@@ -63,6 +81,10 @@ _NOT_PLAIN_ROW = re.compile(r"\n(?![0-9]{4}-[0-9]{2}-[0-9]{2},)")
 # Body characters split per pass of the columnar fast path (rounded up to a line end).
 _CHUNK_CHARS = 1 << 16
 
+# The calendar of the last plain file a series type accepted: its date column
+# text (the date cells joined by ","), its dates, and those dates less the first.
+_calendar: tuple[str, tuple[dt.date, ...], tuple[dt.date, ...]] = ("", (), ())
+
 class ReturnMethod(enum.Enum):
     SIMPLE = "simple"
     LOG = "log"
@@ -73,11 +95,14 @@ def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
     asset_id = series.asset_id
     if not asset_id:
         raise InputError("asset_id must be non-empty")
+    if asset_id.splitlines() != [asset_id]:
+        raise InputError(f"asset_id must be one line, got {asset_id!r}")
     values = _checked_array(getattr(series, field), f"{asset_id}: {field}")
     dates = tuple(series.dates)
     if values.size != len(dates):
         raise InputError(f"{asset_id}: got {len(dates)} dates but {values.size} {field}")
-    if not all(map(operator.lt, dates, dates[1:])):
+    _, shared, tail = _calendar  # each already walked, when it was first accepted
+    if dates is not shared and dates is not tail and not all(map(operator.lt, dates, dates[1:])):
         prev, curr = next((prev, curr) for prev, curr in zip(dates, dates[1:]) if not prev < curr)
         raise InputError(f"{asset_id}: dates must be strictly increasing: {curr} does not follow {prev}")
     object.__setattr__(series, field, values)
@@ -134,18 +159,32 @@ def _parse_plain(text: str, value_column: str, asset_id: str, series_type: type[
         or _NOT_PLAIN_ROW.search(text, start - 1, end - 1)
     ):
         return None
-    dates: list[dt.date] = []
+    global _calendar
+    column, shared, _ = _calendar
+    pieces: list[str] = []  # each chunk's date cells, joined by ","
+    dates: list[dt.date] | tuple[dt.date, ...] | None = None  # None while every chunk matches ``column``
     values: list[float] = []
     try:
         while start < end:
             stop = text.find("\n", min(start + _CHUNK_CHARS, end - 1)) + 1
             cells = text[start:stop].replace("\n", ",").split(",")
-            dates += map(dt.date.fromisoformat, cells[0:-1:2])
+            days = cells[0:-1:2]
+            pieces.append(",".join(days))
+            # every date cell is 10 characters, so the chunk's first date sits at 11 per date before it
+            if dates is None and not column.startswith(pieces[-1], 11 * len(values)):
+                dates = list(shared[:len(values)])
+            if dates is not None:
+                dates += map(dt.date.fromisoformat, days)
             values += map(float, cells[1::2])
             start = stop
-        return series_type(asset_id, dates, values)
+        if dates is None:  # the calendar, or a prefix of it
+            dates = shared if len(values) == len(shared) else shared[:len(values)]
+        series = series_type(asset_id, dates, values)
     except ValueError:  # a cell's conversion, or the type's InputError
         return None
+    if series.dates is not shared:
+        _calendar = (",".join(pieces), series.dates, series.dates[1:])
+    return series
 
 
 def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series:
@@ -235,4 +274,6 @@ def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) 
             returns = np.log(ratios)
         else:
             raise InputError(f"unknown return method: {method!r}")
-    return ReturnSeries(asset_id=prices.asset_id, dates=prices.dates[1:], returns=returns)
+    _, shared, tail = _calendar
+    dates = tail if prices.dates is shared else prices.dates[1:]
+    return ReturnSeries(asset_id=prices.asset_id, dates=dates, returns=returns)

@@ -58,7 +58,11 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     if not np.all(np.isfinite(arr)):
         raise InputError("regression rows contain non-finite values")
 
-    y = arr[:, 0]
+    # fit y / 2**exponent, below 1 in magnitude: a power-of-two scale is exact, so the fit
+    # is the unscaled one wherever that one stays finite, and R and the t statistics are
+    # scale-free; only the coefficients are scaled back
+    _, exponent = math.frexp(float(np.max(np.abs(arr[:, 0]))))
+    y = np.ldexp(arr[:, 0], -exponent)
     design = np.column_stack([np.ones(m), arr[:, 1], arr[:, 2]])
     q, r = np.linalg.qr(design)
     # R'R = X'X, so R_jj**2 is the j-th elimination pivot of X'X
@@ -93,10 +97,16 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
             return 0.0 if coef[j] != 0.0 else 1.0
         return 2.0 * student_t_sf(abs(float(coef[j])) / se, residual_df)
 
+    def unscaled(j: int) -> float:
+        try:
+            return math.ldexp(float(coef[j]), exponent)
+        except OverflowError:
+            raise InputError(f"regression coefficient '{_DESIGN_COLUMNS[j]}' is outside the float range") from None
+
     return RegressionSummary(
-        intercept=float(coef[0]),
-        coef_duration=float(coef[1]),
-        coef_level=float(coef[2]),
+        intercept=unscaled(0),
+        coef_duration=unscaled(1),
+        coef_level=unscaled(2),
         multiple_r=multiple_r,
         p_duration=slope_p(1),
         p_level=slope_p(2),

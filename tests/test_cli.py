@@ -155,6 +155,17 @@ def test_backtest_metadata_quotes_ids_and_inputs(tmp_path):
     assert skipped[1].startswith("skipped = c 50,90% tce: ")
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\u2028b"], ids=["newline", "return", "line-separator"])
+def test_backtest_rejects_asset_id_with_line_break(tmp_path, capsys, name):
+    # a line break in an id would split a table row or a metadata line
+    path = tmp_path / f"{name}.csv"
+    write_returns_csv(path, np.random.default_rng(71).normal(0, 0.01, 60))
+    out = tmp_path / "report"
+    assert main(["backtest", "--returns", str(path), "--format", "md", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: asset_id must be one line, got {name!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["backtest", "regress"])
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"

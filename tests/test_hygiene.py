@@ -1,7 +1,8 @@
 """Source checks that need no linter on ``src/histrisk``.
 
-No top-level import goes unused, and each module imports only the sibling
-modules listed before it in ``LAYERS``, so no import cycle can form.
+No top-level import goes unused, each module imports only the sibling
+modules listed before it in ``LAYERS``, so no import cycle can form, and no
+function rebinds module state other than the names in ``GLOBALS``.
 """
 
 import ast
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "histrisk"
+
+# The only process-wide state a function may rebind: the last accepted calendar.
+GLOBALS = {("ingestion", "_calendar")}
 
 # Each module may import only the modules before it; ``__init__`` and ``__main__`` sit above them all.
 LAYERS = ("errors", "measures", "stats", "ingestion", "backtest", "cli")
@@ -81,3 +85,24 @@ def test_imports_follow_layers(index, module):
     if module == "cli":
         imported.discard("__version__")  # the package version, set in __init__
     assert imported - set(LAYERS[:index]) == set()
+
+
+def global_names(source: str) -> set[str]:
+    """Every name a ``global`` statement in ``source`` declares, at any depth."""
+    return {name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global) for name in node.names}
+
+
+def test_global_names_finds_nested_statements():
+    source = (
+        "def f():\n"
+        "    global a, b\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        global c\n"
+    )
+    assert global_names(source) == {"a", "b", "c"}
+
+
+def test_only_listed_globals():
+    found = {(path.stem, name) for path in SRC.glob("*.py") for name in global_names(path.read_text(encoding="utf-8"))}
+    assert found <= GLOBALS

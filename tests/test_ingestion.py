@@ -197,8 +197,9 @@ def test_price_series_rejects_empty_asset_id():
     ("x", (dt.date(2020, 1, 1),), [1.0, 2.0], "x: got 1 dates but 2 {field}"),
     ("x", (dt.date(2020, 1, 2), dt.date(2020, 1, 1)), [1.0, 2.0],
      "x: dates must be strictly increasing: 2020-01-01 does not follow 2020-01-02"),
+    ("a\nb", (dt.date(2020, 1, 1),), [1.0], "asset_id must be one line, got 'a\\nb'"),
     ("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [1.0, math.inf], "x: {field} must be finite"),
-], ids=["empty-asset-id", "count-mismatch", "date-order", "non-finite"])
+], ids=["empty-asset-id", "count-mismatch", "date-order", "multi-line-asset-id", "non-finite"])
 def test_series_types_share_one_check(series_type, field, asset_id, dates, values, message):
     with pytest.raises(InputError, match=f"^{re.escape(message.format(field=field))}$"):
         series_type(asset_id, dates, np.array(values))
@@ -230,3 +231,22 @@ def test_fast_path_peak_memory_within_row_loop():
     public = _peak_bytes(lambda t: parse_returns(t, "x"), text)
     row_loop = _peak_bytes(lambda t: _row_loop(t, "return", "x"), text)
     assert public <= row_loop
+
+
+def test_shared_calendar_keeps_one_set_of_dates():
+    # 1,000 price files on one 301-day calendar hold one dates tuple and one
+    # tail between them; each date object alone would cost 32 bytes per row
+    rng = np.random.default_rng(34)
+    days = [(dt.date(2001, 1, 1) + dt.timedelta(days=i)).isoformat() for i in range(301)]
+    texts = [
+        "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(days, rng.uniform(20.0, 200.0, 301).tolist()))
+        for _ in range(1_000)
+    ]
+    tracemalloc.start()
+    try:
+        kept = [to_returns(parse_prices(text, f"a{i}"), ReturnMethod.LOG) for i, text in enumerate(texts)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({id(series.dates) for series in kept}) == 1
+    assert held <= 4 << 20

@@ -8,10 +8,11 @@ with random damage of the kinds real exports carry.
 
 import csv
 import datetime as dt
+from unittest import mock
 
 import pytest
 
-from histrisk import InputError, PriceSeries, ReturnSeries, parse_prices, parse_returns
+from histrisk import InputError, PriceSeries, ReturnSeries, ingestion, parse_prices, parse_returns, to_returns
 from histrisk.ingestion import _parse_plain, _row_loop
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -162,3 +163,71 @@ def test_fast_path_spans_chunks(monkeypatch):
     text = "date,return\n" + "".join(f"{d},{i / 7!r}\n" for i, d in enumerate(days))
     assert _outcome(_fast, text, "return") == (tuple(days), [i / 7 for i in range(50)])
     assert _outcome(_fast, text, "return") == _outcome(_row_loop_alone, text, "return")
+
+
+# How a file's calendar relates to two calendars, ``a`` and ``b``, that the
+# sequence of files shares; "rejected" files hold a value their type refuses.
+CALENDARS = ("a", "b", "prefix", "longer", "distinct", "rejected")
+
+
+def _days(first, gaps):
+    days = [first]
+    for gap in gaps:
+        days.append(days[-1] + dt.timedelta(days=gap))
+    return days
+
+
+@st.composite
+def calendar_files(draw):
+    gaps = st.lists(st.integers(1, 3), min_size=1, max_size=30)
+    a = _days(dt.date(2000, 1, 3), draw(gaps))
+    b = _days(dt.date(2000, 1, 3) + dt.timedelta(days=draw(st.integers(0, 2))), draw(gaps))
+    files = []
+    for kind in draw(st.lists(st.sampled_from(CALENDARS), min_size=1, max_size=8)):
+        column = draw(st.sampled_from(sorted(PARSERS)))
+        if kind in ("a", "b"):
+            days = a if kind == "a" else b
+        elif kind == "prefix":
+            days = a[:draw(st.integers(1, len(a)))]
+        elif kind == "longer":
+            days = a + _days(a[-1] + dt.timedelta(days=1), draw(gaps))
+        else:
+            days = _days(dt.date(1999, 12, 30), draw(gaps))
+        values = [repr(draw(st.floats(0.01, 1000.0))) for _ in days]
+        if kind == "rejected":
+            values[draw(st.integers(0, len(days) - 1))] = "0.0" if column == "price" else "nan"
+        text = f"date,{column}\n" + "".join(f"{day},{value}\n" for day, value in zip(days, values))
+        files.append((text, column))
+    return files
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendar_files(), st.integers(12, 80))
+def test_shared_calendar_matches_row_loop(files, chunk_chars):
+    # small chunks end a calendar match mid-file, in any chunk
+    with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars):
+        for text, column in files:
+            slot = ingestion._calendar
+            outcome = _outcome(_public, text, column)
+            assert outcome == _outcome(_row_loop_alone, text, column)
+            if isinstance(outcome[0], str):  # rejected: the slot keeps the last accepted calendar
+                assert ingestion._calendar is slot
+                continue
+            column_text, dates, tail = ingestion._calendar
+            assert dates is outcome[0]  # the series' own tuple
+            if dates == slot[1]:
+                assert dates is slot[1]
+            assert column_text == ",".join(map(dt.date.isoformat, dates))
+            assert tail == dates[1:]
+            if column == "price" and len(dates) > 1:
+                assert to_returns(PriceSeries("x", dates, outcome[1])).dates is tail
+
+
+def test_shared_calendar_keeps_the_date_prefix_check():
+    # the trap's even cells are exactly the calendar 2020-01-01, 2020-01-02 and
+    # its commas match its newlines; only the line-prefix check turns it away
+    parse_returns("date,return\n2020-01-01,1\n2020-01-02,2\n", "c")
+    trap = "date,return\n2020-01-01\n5,2020-01-02,7\n"
+    assert _fast(trap, "return") is None
+    with pytest.raises(InputError, match="^x: line 2: expected 2 fields, got 1$"):
+        parse_returns(trap, "x")

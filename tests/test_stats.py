@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,26 @@ def test_response_scaling_scales_coefficients_only():
     assert scaled.multiple_r == pytest.approx(base.multiple_r, abs=1e-12)
     assert scaled.p_duration == pytest.approx(base.p_duration, abs=1e-12)
     assert scaled.p_level == pytest.approx(base.p_level, abs=1e-12)
+
+
+def test_huge_errors_fit_like_their_scaled_rows():
+    # R and the t statistics do not depend on the errors' scale, so rows near the
+    # float range give what the same rows divided by 1e300 give, without a warning
+    rows = [(1e300, 10, 0.9), (-1e300, 20, 0.9), (1e300, 50, 0.95), (0.3, 100, 0.99), (2e300, 250, 0.9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = ols2(rows)
+        small = ols2([(error / 1e300, duration, level) for error, duration, level in rows])
+    for name in ("multiple_r", "p_duration", "p_level"):
+        assert math.isclose(getattr(huge, name), getattr(small, name), rel_tol=1e-12), name
+    assert huge.multiple_r == pytest.approx(0.6504, abs=1e-4)
+    assert huge.coef_level == pytest.approx(1e300 * small.coef_level, rel=1e-12)
+
+
+def test_coefficient_outside_float_range_is_named():
+    rows = [(1e308, 10, 0.9), (-1e308, 20, 0.9), (1e308, 50, 0.95), (-1e308, 100, 0.99), (1e308, 250, 0.9)]
+    with pytest.raises(InputError, match="^regression coefficient 'intercept' is outside the float range$"):
+        ols2(rows)
 
 
 def test_response_shift_moves_intercept_only():
