@@ -34,9 +34,7 @@ a stack, as the columns of one block, so a day's returns are one row and lag j
 of every series is the row j days up; longer series are one-column stacks,
 viewed in place.  Each column's ranks are offset by the column times hi + 1, so
 one ``bincount`` per duration histograms every series of the stack.  The rows
-of a stack are emitted before the next stack is ranked.  On 1,000 series of 300
-returns at 250:0.99 this took the rank passes from 51-53 to 16-17 ms and
-``run_suite`` from 63-65 to 28-29 ms (medians of 9 calls, 2-CPU x86 host).
+of a stack are emitted before the next stack is ranked.
 
 The pass works in tiles of at most ``_CHUNK_ELEMS`` compares (up to 255 lags
 by up to 2,048 cells, a cell being one day of one series), so its scratch does
@@ -84,7 +82,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .ingestion import ReturnSeries
 from .measures import Level, QuantileConvention, _as_level, _finite_mean, quantile_index
 
@@ -129,8 +127,8 @@ class RiskSpec:
     strict_violation: bool = True
 
     def __post_init__(self) -> None:
-        n = int(self.duration_n)
-        if n != self.duration_n or n < 2:
+        n = _integer(self.duration_n)
+        if n is None or n < 2:
             raise InputError(f"duration must be an integer >= 2, got {self.duration_n!r}")
         if not isinstance(self.conv, QuantileConvention):
             raise InputError(f"unknown quantile convention: {self.conv!r}")
@@ -211,8 +209,8 @@ def _window_chunks(
         head = np.concatenate((np.full((hi - lo, block.shape[1]), np.inf), block[:hi - 1]))
         parts.insert(0, (head, block[lo:hi]))
     for source, realized in parts:
-        # sliding_window_view's view without its argument checks, which cost about
-        # 13 us a call on a 2-CPU x86 host: 13 ms over 1,000 short series
+        # sliding_window_view's view without its argument checks: on universe_screen,
+        # 77 views a run, sliding_window_view itself added 0.1-0.2 MB of peak RSS
         day_stride, column_stride = source.strides
         windows = as_strided(
             source, shape=(*realized.shape, hi), strides=(day_stride, column_stride, day_stride), writeable=False
@@ -271,25 +269,22 @@ def _violation_counts(block: np.ndarray, durations: Sequence[int], strict: bool)
     return [np.cumsum(counts, axis=1, out=counts) for counts in rank_counts]
 
 
-def _rank_passes(
-    stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]
-) -> list[dict[tuple[int, bool], np.ndarray]]:
-    """Violation counts by (duration, strictness) of each series in ``stack``, for
-    every spec with an evaluation day: one pass per strictness over the whole stack.
+def _rank_passes(stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]) -> dict[tuple[int, bool], np.ndarray]:
+    """``_violation_counts`` of ``stack`` by (duration, strictness), row c for series c,
+    for every spec with an evaluation day: one pass per strictness over the whole stack.
 
     The series in ``stack`` have one length.
     """
     size = len(stack[0])
     block = stack[0].returns[:, None] if len(stack) == 1 else np.stack([series.returns for series in stack], axis=1)
-    counts: list[dict[tuple[int, bool], np.ndarray]] = [{} for _ in stack]
+    counts: dict[tuple[int, bool], np.ndarray] = {}
     for strict in {spec.strict_violation for spec in specs}:
         durations = sorted({
             spec.duration_n for spec in specs if spec.strict_violation == strict and spec.duration_n < size
         })
         if durations:
             for n, by_column in zip(durations, _violation_counts(block, durations, strict)):
-                for series_counts, column in zip(counts, by_column):
-                    series_counts[n, strict] = column
+                counts[n, strict] = by_column
     return counts
 
 
@@ -324,11 +319,13 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     return list(zip(series.dates[n:], values.tolist()))
 
 
-def _var_result(series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray]) -> VarBacktestRow:
-    """The VaR row of one pair; ``counts`` holds the ``_rank_passes`` of the series."""
+def _var_result(
+    series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray], column: int
+) -> VarBacktestRow:
+    """The VaR row of one pair; ``counts`` holds the ``_rank_passes`` of the stack whose ``column`` is the series."""
     n = spec.duration_n
     _require(series, n + 1)
-    violations = int(counts[n, spec.strict_violation][quantile_index(n, spec.level, spec.conv)])
+    violations = int(counts[n, spec.strict_violation][column, quantile_index(n, spec.level, spec.conv)])
     evaluation_days = len(series) - n
     observed_rate = violations / evaluation_days
     tail_probability = 1.0 - spec.level.alpha
@@ -387,7 +384,7 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec, table: tuple[np.ndarray, n
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    return _var_result(series, spec, _rank_passes([series], [spec])[0])
+    return _var_result(series, spec, _rank_passes([series], [spec]), 0)
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -452,13 +449,13 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for stack in _stacks(series_list):
-        stack_counts = _rank_passes(stack, spec_list)
-        for series, counts in zip(stack, stack_counts):
+        counts = _rank_passes(stack, spec_list)
+        for column, series in enumerate(stack):
             for n, same_n in itertools.groupby(spec_list, key=lambda spec: spec.duration_n):
                 table = None  # built by the first TCE pair that needs it
                 for spec in same_n:
                     try:
-                        var_rows.append(_var_result(series, spec, counts))
+                        var_rows.append(_var_result(series, spec, counts, column))
                     except _Skip as skip:
                         skips.append(SkippedPair(series.asset_id, spec, "var", str(skip)))
                     try:
@@ -468,7 +465,7 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
                     except _Skip as skip:
                         skips.append(SkippedPair(series.asset_id, spec, "tce", str(skip)))
                 del table  # not alive through the next table or the next stack's rank pass
-        del stack_counts, counts  # nor are this stack's counts
+        del counts  # nor are this stack's counts
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

@@ -37,15 +37,11 @@ from .measures import (
 from .stats import ols2
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; this CLI reserves 2 for
     # internal errors, so usage problems are rerouted to exit 1.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def build_parser() -> _Parser:
@@ -347,7 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "regress":
             return _cmd_regress(args)
         return _cmd_axioms(args)
-    except (_UsageError, InputError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps everything else to 2

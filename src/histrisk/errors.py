@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar reads whose failures they report."""
+
+import math
 
 
 class InputError(ValueError):
@@ -7,3 +9,21 @@ class InputError(ValueError):
 
 class SingularDesignError(InputError):
     """Regression design matrix is rank deficient; the message names the dead column."""
+
+
+def _integer(value: object) -> int | None:
+    """``value`` as an int if it is a whole number (2, 2.0 and ``numpy.int64(2)`` are), else None."""
+    try:
+        whole = int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
+def _finite(value: object) -> float | None:
+    """``value`` as a float if ``float`` reads it (``'0.9'`` too) as a finite number, else None."""
+    try:
+        real = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return real if math.isfinite(real) else None

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, SingularDesignError
+from .errors import InputError, SingularDesignError, _finite, _integer
 
 _DESIGN_COLUMNS = ("intercept", "duration", "level")
-# Pivot threshold relative to the largest diagonal of X'X.
+# Pivot threshold relative to the largest diagonal of X'X, X's columns scaled as in ols2.
 _PIVOT_RTOL = 1e-10
 # Continued-fraction convergence threshold and iteration cap.
 _CF_EPS = 1e-12
@@ -58,15 +58,16 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     if not np.all(np.isfinite(arr)):
         raise InputError("regression rows contain non-finite values")
 
-    # fit y / 2**exponent, below 1 in magnitude: a power-of-two scale is exact, so the fit
-    # is the unscaled one wherever that one stays finite, and R and the t statistics are
-    # scale-free; only the coefficients are scaled back
-    _, exponent = math.frexp(float(np.max(np.abs(arr[:, 0]))))
-    y = np.ldexp(arr[:, 0], -exponent)
-    design = np.column_stack([np.ones(m), arr[:, 1], arr[:, 2]])
+    # fit each column divided by a power of two above its largest magnitude: the scales are
+    # exact, so the fit is the unscaled one wherever that one stays finite, and R and the t
+    # statistics are scale-free; only the coefficients are scaled back
+    _, exponents = np.frexp(np.max(np.abs(arr), axis=0))
+    y, durations, levels = (np.ldexp(column, -exponent) for column, exponent in zip(arr.T, exponents))
+    design = np.column_stack([np.ones(m), durations, levels])
     q, r = np.linalg.qr(design)
-    # R'R = X'X, so R_jj**2 is the j-th elimination pivot of X'X
-    tol = _PIVOT_RTOL * float(np.max((design * design).sum(axis=0)))
+    # R'R = X'X, so R_jj**2 is the j-th elimination pivot of X'X; every scaled column is
+    # below 1 in magnitude, so the intercept's m is the largest diagonal of X'X
+    tol = _PIVOT_RTOL * m
     for j, pivot in enumerate(np.diag(r) ** 2):
         if pivot <= tol:
             raise SingularDesignError(
@@ -98,8 +99,9 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
         return 2.0 * student_t_sf(abs(float(coef[j])) / se, residual_df)
 
     def unscaled(j: int) -> float:
+        # coefficient j multiplies column j / 2**exponents[j] (the intercept's ones unscaled)
         try:
-            return math.ldexp(float(coef[j]), exponent)
+            return math.ldexp(float(coef[j]), int(exponents[0] - (exponents[j] if j else 0)))
         except OverflowError:
             raise InputError(f"regression coefficient '{_DESIGN_COLUMNS[j]}' is outside the float range") from None
 
@@ -158,12 +160,13 @@ def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def student_t_sf(t_stat: float, df: int) -> float:
     """Upper-tail probability P[T > t] for Student's t with ``df`` degrees of freedom."""
-    if int(df) != df or df < 1:
+    whole = _integer(df)
+    if whole is None or whole < 1:
         raise InputError(f"degrees of freedom must be a positive integer, got {df!r}")
-    t = float(t_stat)
-    if not math.isfinite(t):
+    t = _finite(t_stat)
+    if t is None:
         raise InputError(f"t statistic must be finite, got {t_stat!r}")
     if t < 0.0:
-        return 1.0 - student_t_sf(-t, df)
-    x = df / (df + t * t)
-    return 0.5 * _regularized_incomplete_beta(0.5 * df, 0.5, x)
+        return 1.0 - student_t_sf(-t, whole)
+    x = whole / (whole + t * t)
+    return 0.5 * _regularized_incomplete_beta(0.5 * whole, 0.5, x)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,21 @@ def test_regress_skips_na_and_skipped_cells(tmp_path, capsys):
     assert "[one] rows=5" in capsys.readouterr().out
 
 
+def test_regress_fits_huge_durations(tmp_path, capsys):
+    # durations of about 1e200 used to overflow the design's pivot tolerance, so
+    # a full-rank design was reported as rank deficient
+    zeros = "0" * 200
+    lines = ["spec,one"] + [f'"{n}{zeros},{pct}%",{error}' for n, pct, error in
+                            ((1, 90, 1.0), (2, 95, 2.0), (5, 99, 3.0), (10, 90, 4.0), (3, 91, 5.0))]
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regress", str(tmp_path / "t.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "[one] rows=5" in out
+    assert "multiple_r    = 0.537442" in out
+
+
 def test_regress_insufficient_rows(tmp_path, capsys):
     lines = ["spec,one", '"10,90%",+0.1', '"20,90%",-0.1', '"50,90%",+0.2']
     (tmp_path / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -451,6 +467,23 @@ def test_axioms_output(capsys):
 
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["frobnicate"], "frobnicate"),
+    (["backtest", "--out", "o"], "--returns"),
+    (["backtest", "--returns", "a.csv", "--format", "xls"], "xls"),
+    (["backtest", "--returns", "a.csv", "--bogus"], "--bogus"),
+    (["regress"], "TABLE"),
+], ids=["unknown-command", "no-source", "bad-choice", "unknown-flag", "no-table"])
+def test_usage_errors_exit_one_with_one_line(capsys, argv, token):
+    # argparse would print its usage text and exit 2, which this CLI keeps for internal errors
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    assert lines[0].startswith("error: ") and token in lines[0] and "usage:" not in lines[0]
 
 
 def test_internal_error_maps_to_two(tmp_path, capsys, monkeypatch):

@@ -2,10 +2,13 @@
 
 No top-level import goes unused, each module imports only the sibling
 modules listed before it in ``LAYERS``, so no import cycle can form, and no
-function rebinds module state other than the names in ``GLOBALS``.
+function rebinds module state other than the names in ``GLOBALS``.  Every
+module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
+and no ``re.compile`` pattern needs the 3.11 regex syntax.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -106,3 +109,49 @@ def test_global_names_finds_nested_statements():
 def test_only_listed_globals():
     found = {(path.stem, name) for path in SRC.glob("*.py") for name in global_names(path.read_text(encoding="utf-8"))}
     assert found <= GLOBALS
+
+
+def test_sources_parse_as_python_3_10():
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def newer_regex_syntax(source: str) -> list[str]:
+    """``re.compile`` pattern literals holding a possessive quantifier or an atomic group, which need Python 3.11."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compile"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            pattern = node.args[0].value
+            # escapes and character classes hold literal characters, not quantifiers
+            bare = re.sub(r"\[\^?\]?[^\]]*\]", "x", re.sub(r"\\.", "x", pattern))
+            if re.search(r"[*+?}]\+|\(\?>", bare):
+                found.append(pattern)
+    return found
+
+
+def test_newer_regex_syntax_finds_possessive_and_atomic_patterns():
+    source = (
+        "import re\n"
+        "A = re.compile(r'a*+b')\n"
+        "B = re.compile(r'x{2}+')\n"
+        "C = re.compile(r'(?>ab|a)c')\n"
+        "D = re.compile(r'\\d\\++[*+?]+(?:a)?\\(?>')\n"
+        "E = re.search(r'a++', 'a')\n"
+    )
+    assert newer_regex_syntax(source) == ["a*+b", "x{2}+", "(?>ab|a)c"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_newer_regex_syntax(path):
+    assert newer_regex_syntax(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +13,14 @@ from histrisk import (
     PriceSeries,
     QuantileConvention,
     ReturnSeries,
+    RiskSpec,
     Sample,
     axiom_report,
     convolve_independent,
     largest_alpha_quantile,
+    quantile_index,
     smallest_alpha_quantile,
+    student_t_sf,
     tce,
     tce_discrete,
     var,
@@ -282,5 +286,40 @@ def test_axiom_report_validation():
         axiom_report(TEN, 0.9, shift=0.0, scale=-1.0)
     with pytest.raises(InputError):
         axiom_report(TEN, 0.9, shift=float("inf"), scale=1.0)
-    with pytest.raises(InputError):
-        axiom_report(TEN, 0.9, shift=0.0, scale=1.0, level_grid=())
+
+
+# A public scalar parameter that is no number, or not the kind of number it
+# must be, raises an InputError naming it, never a raw Python error; the
+# numbers it accepted before (a numeric string level, an integral float
+# duration, NumPy integers) it still accepts.
+@pytest.mark.parametrize("call, message", [
+    (lambda: RiskSpec(float("inf"), 0.9), "duration must be an integer >= 2, got inf"),
+    (lambda: RiskSpec(float("nan"), 0.9), "duration must be an integer >= 2, got nan"),
+    (lambda: RiskSpec("x", 0.9), "duration must be an integer >= 2, got 'x'"),
+    (lambda: RiskSpec(None, 0.9), "duration must be an integer >= 2, got None"),
+    (lambda: Level("x"), "confidence level must lie strictly inside (0, 1), got 'x'"),
+    (lambda: Level(None), "confidence level must lie strictly inside (0, 1), got None"),
+    (lambda: Level([0.5]), "confidence level must lie strictly inside (0, 1), got [0.5]"),
+    (lambda: student_t_sf("x", 5), "t statistic must be finite, got 'x'"),
+    (lambda: student_t_sf(1.0, "x"), "degrees of freedom must be a positive integer, got 'x'"),
+    (lambda: student_t_sf(1.0, float("inf")), "degrees of freedom must be a positive integer, got inf"),
+    (lambda: quantile_index("x", 0.9, LARGEST), "sample size must be an integer, got 'x'"),
+    (lambda: quantile_index(10.5, 0.9, LARGEST), "sample size must be an integer, got 10.5"),
+    (lambda: axiom_report(TEN, 0.9, shift="x", scale=1.0), "shift must be finite, got 'x'"),
+    (lambda: axiom_report(TEN, 0.9, shift=0.0, scale="x"), "scale must be finite and nonnegative, got 'x'"),
+], ids=[
+    "duration-inf", "duration-nan", "duration-str", "duration-none", "level-str", "level-none", "level-list",
+    "t-str", "df-str", "df-inf", "size-str", "size-fraction", "shift-str", "scale-str",
+])
+def test_scalar_parameters_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_scalar_parameters_keep_accepted_numbers():
+    assert Level("0.9") == Level(0.9)
+    assert RiskSpec(10.0, 0.9) == RiskSpec(np.int64(10), 0.9) == RiskSpec(10, 0.9)
+    assert quantile_index(np.int64(10), 0.9, LARGEST) == quantile_index(10.0, 0.9, LARGEST) == 1
+    assert student_t_sf(1.0, np.int64(5)) == student_t_sf(1.0, 5.0) == student_t_sf(np.float64(1.0), 5)
+    numpy_scalars = axiom_report(TEN, 0.9, shift=np.float64(0.01), scale=np.int64(2))
+    assert numpy_scalars == axiom_report(TEN, 0.9, shift=0.01, scale=2.0)

@@ -94,6 +94,19 @@ def test_huge_errors_fit_like_their_scaled_rows():
     assert huge.coef_level == pytest.approx(1e300 * small.coef_level, rel=1e-12)
 
 
+def test_huge_durations_fit_like_their_scaled_rows():
+    # the design's columns are scaled like the errors, so durations near the float
+    # range fit, without a warning, like the same rows with durations divided by 1e200
+    rows = [(1.0, 1e200, 0.9), (2.0, 2e200, 0.95), (3.0, 5e200, 0.99), (4.0, 1e201, 0.9), (5.0, 3e200, 0.91)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = ols2(rows)
+        small = ols2([(error, duration / 1e200, level) for error, duration, level in rows])
+    for name in ("intercept", "coef_level", "multiple_r", "p_duration", "p_level"):
+        assert math.isclose(getattr(huge, name), getattr(small, name), rel_tol=1e-12), name
+    assert huge.coef_duration == pytest.approx(small.coef_duration / 1e200, rel=1e-12)
+
+
 def test_coefficient_outside_float_range_is_named():
     rows = [(1e308, 10, 0.9), (-1e308, 20, 0.9), (1e308, 50, 0.95), (-1e308, 100, 0.99), (1e308, 250, 0.9)]
     with pytest.raises(InputError, match="^regression coefficient 'intercept' is outside the float range$"):
