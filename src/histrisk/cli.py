@@ -25,7 +25,7 @@ from typing import Sequence
 from . import __version__
 from .backtest import DEFAULT_GRID, RiskSpec, SuiteReport, parse_label, run_suite
 from .errors import InputError
-from .ingestion import ReturnMethod, ReturnSeries, _csv_records, parse_prices, parse_returns, to_returns
+from .ingestion import ReturnMethod, ReturnSeries, _csv_records, _read_panel, _read_text
 from .measures import (
     DiscreteDistribution,
     QuantileConvention,
@@ -34,7 +34,7 @@ from .measures import (
     tce_discrete,
     var_discrete,
 )
-from .stats import ols2
+from .stats import RegressionSummary, ols2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,24 +96,10 @@ def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
     return [RiskSpec(n, alpha, conv, strict) for n, alpha in pairs]
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise InputError(f"{path}: line {line}: {exc}") from None
-
-
 def _load_series(args: argparse.Namespace) -> list[ReturnSeries]:
-    method = ReturnMethod(args.method)
-    out: list[ReturnSeries] = []
-    for path in map(Path, args.prices or args.returns):
-        text = _read_text(path)
-        if args.prices:
-            out.append(to_returns(parse_prices(text, path.stem), method))
-        else:
-            out.append(parse_returns(text, path.stem))
-    return out
+    if args.prices:
+        return _read_panel(args.prices, ReturnMethod(args.method))
+    return _read_panel(args.returns, None)
 
 
 def _fmt_rate(value: float) -> str:
@@ -274,9 +260,8 @@ def _read_error_table(table: str, asset_flags: list[str] | None) -> dict[str, li
     return per_asset
 
 
-def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -> None:
-    summary = ols2(rows)
-    print(f"[{name}] rows={len(rows)}")
+def _print_regression_block(name: str, rows: int, summary: RegressionSummary) -> None:
+    print(f"[{name}] rows={rows}")
     print(f"  intercept     = {summary.intercept:+.6f}")
     print(f"  coef_duration = {summary.coef_duration:+.6f}")
     print(f"  coef_level    = {summary.coef_level:+.6f}")
@@ -287,12 +272,21 @@ def _print_regression_block(name: str, rows: list[tuple[float, float, float]]) -
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
+    """Fit every selected column, and the pooled rows of two or more, before printing any block."""
     per_asset = _read_error_table(args.table, args.assets)
-    for name, rows in per_asset.items():
-        _print_regression_block(name, rows)
+    blocks = [(f"column {name!r}", name, rows) for name, rows in per_asset.items()]
     if len(per_asset) > 1:
+        names = ",".join(per_asset)
         pooled = [row for rows in per_asset.values() for row in rows]
-        _print_regression_block("pooled: " + ",".join(per_asset), pooled)
+        blocks.append((f"pooled columns {names!r}", f"pooled: {names}", pooled))
+    fits = []
+    for what, name, rows in blocks:
+        try:
+            fits.append((name, len(rows), ols2(rows)))
+        except InputError as exc:
+            raise type(exc)(f"{what}: {exc}") from None
+    for fit in fits:
+        _print_regression_block(*fit)
     return 0
 
 

@@ -59,11 +59,24 @@ def _as_level(level: Level | float) -> Level:
 
 
 def _checked_array(values: object, what: str) -> np.ndarray:
-    """``values`` as a read-only 1-D float copy, checked non-empty and finite; ``what`` names them in errors."""
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be numeric and one-dimensional") from None
+    """``values`` as a read-only 1-D float array, checked non-empty and finite; ``what`` names them in errors.
+
+    The array is a copy, unless ``values`` already is a read-only float array over read-only memory: only a
+    flag set back could write that, so it is kept, and series can hold rows of one block instead of copies.
+    """
+    base = getattr(values, "base", None)
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == float
+        and not values.flags.writeable
+        and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+    ):
+        arr = values
+    else:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"{what} must be numeric and one-dimensional") from None
     if arr.ndim != 1:
         raise InputError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -50,6 +50,8 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         raise InputError("regression rows must be numeric (error, duration, level) triples") from None
+    if arr.shape == (0,):  # no rows at all
+        arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InputError(f"expected rows of (error, duration, level), got shape {arr.shape}")
     m = arr.shape[0]

@@ -186,6 +186,65 @@ def test_backtest_missing_file_no_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_backtest_reads_other_newlines_as_lf(tmp_path, newline):
+    # inputs are read with universal newlines, so CRLF and lone-CR files give the LF files' outputs
+    rng = np.random.default_rng(73)
+    prices = 100.0 * np.cumprod(1.0 + rng.uniform(-0.02, 0.02, (2, 80)), axis=1)
+    tables = {}
+    for end in ("\n", newline):
+        directory = tmp_path / repr(end)
+        directory.mkdir()
+        for name, row in zip("ab", prices):
+            write_prices_csv(directory / f"{name}.csv", row)
+            text = (directory / f"{name}.csv").read_text(encoding="utf-8")
+            (directory / f"{name}.csv").write_bytes(text.replace("\n", end).encode())
+        out = directory / "out"
+        args = ["--prices", str(directory / "a.csv"), str(directory / "b.csv"), "--spec", "20:0.9", "--method", "log"]
+        assert main(["backtest", *args, "--out", str(out)]) == 0
+        tables[end] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(tables["\n"]) == 4
+    assert tables[newline] == tables["\n"]
+
+
+def test_non_utf8_byte_past_8_kib_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    write_returns_csv(path, np.full(700, 0.001))
+    lines = path.read_bytes().split(b"\n")
+    lines[600] = lines[600].replace(b"0.001", b"0.0\xff01")  # line 601
+    data = b"\n".join(lines)
+    path.write_bytes(data)
+    position = data.index(b"\xff")
+    assert position > 8192
+    assert main(["backtest", "--returns", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 601: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+    )
+
+
+def test_backtest_missing_relative_file_is_named_as_path_gives_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["backtest", "--returns", "./nope.csv", "--out", "o"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nope.csv'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_backtest_reports_the_first_bad_file(tmp_path, capsys):
+    # on one calendar, file 3's zero price is reported before file 5's undecodable byte
+    rng = np.random.default_rng(74)
+    paths = [tmp_path / f"p{i}.csv" for i in range(1, 6)]
+    for path in paths:
+        write_prices_csv(path, 100.0 * np.cumprod(1.0 + rng.uniform(-0.02, 0.02, 60)))
+    lines = paths[2].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].split(",")[0] + ",0.0\n"
+    paths[2].write_text("".join(lines), encoding="utf-8")
+    paths[4].write_bytes(paths[4].read_bytes().replace(b"date,price\n", b"date,price\n\xff", 1))
+    out = tmp_path / "report"
+    assert main(["backtest", "--prices", *map(str, paths), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: p3: line 4: price must be positive, got 0.0\n"
+    assert not out.exists()
+
+
 class _FullDiskHandle:
     def __init__(self, handle):
         self.handle = handle
@@ -414,6 +473,20 @@ def test_regress_insufficient_rows(tmp_path, capsys):
     rc = main(["regress", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "insufficient rows" in capsys.readouterr().err
+
+
+def test_regress_fits_every_column_before_printing(tmp_path, capsys):
+    # column b is all skipped: nothing is printed, and the error names b
+    specs = [(10, 90), (20, 90), (20, 95), (50, 90), (100, 99)]
+    lines = ["spec,a,b"] + [f'"{n},{pct}%",{0.01 * n - pct / 200 + 0.1 * i:+.6f},skipped'
+                            for i, (n, pct) in enumerate(specs)]
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["regress", str(tmp_path / "t.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: column 'b': insufficient rows for regression: need at least 4, got 0\n"
+    assert main(["regress", str(tmp_path / "t.csv"), "--assets", "a"]) == 0
+    assert capsys.readouterr().out.startswith("[a] rows=5\n")
 
 
 def test_regress_rank_deficient_level(tmp_path, capsys):

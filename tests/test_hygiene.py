@@ -2,7 +2,7 @@
 
 No top-level import goes unused, each module imports only the sibling
 modules listed before it in ``LAYERS``, so no import cycle can form, and no
-function rebinds module state other than the names in ``GLOBALS``.  Every
+function rebinds module state other than the names in ``GLOBALS``, which are none.  Every
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax.
 """
@@ -15,8 +15,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "histrisk"
 
-# The only process-wide state a function may rebind: the last accepted calendar.
-GLOBALS = {("ingestion", "_calendar")}
+# The process-wide state a function may rebind: none.
+GLOBALS = set()
 
 # Each module may import only the modules before it; ``__init__`` and ``__main__`` sit above them all.
 LAYERS = ("errors", "measures", "stats", "ingestion", "backtest", "cli")

@@ -1,3 +1,4 @@
+import collections
 import datetime as dt
 import math
 import re
@@ -17,7 +18,7 @@ from histrisk import (
     parse_returns,
     to_returns,
 )
-from histrisk.ingestion import _row_loop
+from histrisk.ingestion import _read_panel, _row_loop
 
 
 def test_parse_prices_minimal():
@@ -233,20 +234,52 @@ def test_fast_path_peak_memory_within_row_loop():
     assert public <= row_loop
 
 
-def test_shared_calendar_keeps_one_set_of_dates():
-    # 1,000 price files on one 301-day calendar hold one dates tuple and one
-    # tail between them; each date object alone would cost 32 bytes per row
+@pytest.fixture(scope="module")
+def universe_texts():
+    """1,000 price files on one 301-day calendar, by file name."""
     rng = np.random.default_rng(34)
     days = [(dt.date(2001, 1, 1) + dt.timedelta(days=i)).isoformat() for i in range(301)]
-    texts = [
-        "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(days, rng.uniform(20.0, 200.0, 301).tolist()))
-        for _ in range(1_000)
-    ]
+    prices = rng.uniform(20.0, 200.0, (1_000, 301)).tolist()
+    return {
+        f"a{i}.csv": "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(days, row))
+        for i, row in enumerate(prices)
+    }
+
+
+def _read_universe(monkeypatch, texts):
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
+    return _read_panel(list(texts), ReturnMethod.LOG)
+
+
+def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
+    # 1,000 price files on one 301-day calendar hold one dates tuple and one
+    # tail between them; each date object alone would cost 32 bytes per row
     tracemalloc.start()
     try:
-        kept = [to_returns(parse_prices(text, f"a{i}"), ReturnMethod.LOG) for i, text in enumerate(texts)]
+        kept = _read_universe(monkeypatch, universe_texts)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len({id(series.dates) for series in kept}) == 1
     assert held <= 4 << 20
+
+
+def test_panel_reader_converts_each_group_once(monkeypatch, universe_texts):
+    # one ReturnSeries a file and no PriceSeries; one returns kernel a group of
+    # 13 files (4,096 // 301), so 77 for 1,000 files, each series a row of its group's block
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    for series_type in (PriceSeries, ReturnSeries):
+        monkeypatch.setattr(series_type, "__post_init__", counted(series_type.__name__, series_type.__post_init__))
+    monkeypatch.setattr(histrisk.ingestion, "_returns", counted("_returns", histrisk.ingestion._returns))
+    kept = _read_universe(monkeypatch, universe_texts)
+    assert [series.asset_id for series in kept] == [name[:-4] for name in universe_texts]
+    assert calls == {"ReturnSeries": 1_000, "_returns": 77}
+    assert len({id(series.dates) for series in kept}) == 1
+    assert len({id(series.returns.base) for series in kept}) == 77

@@ -1,19 +1,33 @@
-"""The columnar fast path of ingestion against the csv row loop.
+"""The columnar fast path and the panel reader of ingestion against the csv row loop.
 
-``_parse_plain`` may only ever return what the row loop alone returns, and
+What ``_parse_plain`` reads must make the series the row loop alone makes, and
 ``parse_prices``/``parse_returns`` must give the same series, or raise the
-same error with the same text, as the row loop alone.  Texts are valid files
-with random damage of the kinds real exports carry.
+same error with the same text, as the row loop alone.  ``_read_panel`` must
+give, file by file, the series ``parse_prices`` and ``to_returns`` or
+``parse_returns`` give, or raise the error of the first file they refuse.
+Texts are valid files with random damage of the kinds real exports carry.
 """
 
 import csv
 import datetime as dt
+import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from histrisk import InputError, PriceSeries, ReturnSeries, ingestion, parse_prices, parse_returns, to_returns
-from histrisk.ingestion import _parse_plain, _row_loop
+from histrisk import (
+    InputError,
+    PriceSeries,
+    ReturnMethod,
+    ReturnSeries,
+    ingestion,
+    parse_prices,
+    parse_returns,
+    to_returns,
+)
+from histrisk.ingestion import _NO_CALENDAR, _parse_plain, _read_panel, _row_loop
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -37,8 +51,8 @@ ANY_CHARS = "0123456789.-+eE_ ,\"\r\n\xa0\x0b\x85\u2028nai"
 
 
 @st.composite
-def damaged_texts(draw):
-    column = draw(st.sampled_from(sorted(PARSERS)))
+def damaged_texts(draw, column=None):
+    column = column or draw(st.sampled_from(sorted(PARSERS)))
     day = dt.date(2000, 1, 1) + dt.timedelta(days=draw(st.integers(0, 3000)))
     rows = []
     for _ in range(draw(st.integers(1, 8))):
@@ -98,7 +112,15 @@ def _row_loop_alone(text, column):
 
 
 def _fast(text, column):
-    return _parse_plain(text, column, "x", PARSERS[column][1])
+    """The series of what the fast path alone reads of ``text``, or None if it or the series type turns it away."""
+    plain = _parse_plain(text, column, _NO_CALENDAR)
+    if plain is None:
+        return None
+    calendar, values = plain
+    try:
+        return PARSERS[column][1]("x", calendar.dates, values)
+    except InputError:
+        return None
 
 
 PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
@@ -177,14 +199,19 @@ def _days(first, gaps):
     return days
 
 
+def _text(column, days, values):
+    return f"date,{column}\n" + "".join(f"{day},{value}\n" for day, value in zip(days, values))
+
+
 @st.composite
 def calendar_files(draw):
+    """A value column and the texts of up to 8 files of it."""
+    column = draw(st.sampled_from(sorted(PARSERS)))
     gaps = st.lists(st.integers(1, 3), min_size=1, max_size=30)
     a = _days(dt.date(2000, 1, 3), draw(gaps))
     b = _days(dt.date(2000, 1, 3) + dt.timedelta(days=draw(st.integers(0, 2))), draw(gaps))
-    files = []
+    texts = []
     for kind in draw(st.lists(st.sampled_from(CALENDARS), min_size=1, max_size=8)):
-        column = draw(st.sampled_from(sorted(PARSERS)))
         if kind in ("a", "b"):
             days = a if kind == "a" else b
         elif kind == "prefix":
@@ -196,38 +223,157 @@ def calendar_files(draw):
         values = [repr(draw(st.floats(0.01, 1000.0))) for _ in days]
         if kind == "rejected":
             values[draw(st.integers(0, len(days) - 1))] = "0.0" if column == "price" else "nan"
-        text = f"date,{column}\n" + "".join(f"{day},{value}\n" for day, value in zip(days, values))
-        files.append((text, column))
-    return files
+        texts.append(_text(column, days, values))
+    return column, texts
+
+
+def _names(texts):
+    return [f"f{i:02d}.csv" for i in range(len(texts))]
+
+
+def _alone(column, texts, method):
+    """The series each file gives alone through the public functions, up to the type and text of the first error."""
+    series = []
+    for name, text in zip(_names(texts), texts):
+        asset_id = name[:-4]
+        try:
+            if text is None:
+                raise InputError(f"{asset_id}: line 1: unreadable")
+            if column == "price":
+                series.append(to_returns(parse_prices(text, asset_id), method))
+            else:
+                series.append(parse_returns(text, asset_id))
+        except (InputError, csv.Error) as exc:
+            return series, (type(exc).__name__, str(exc))
+    return series, None
+
+
+def _panel(column, texts, method):
+    """The series ``_read_panel`` gives of ``texts``, or None and the type and text of its error."""
+    by_name = dict(zip(_names(texts), texts))
+
+    def read_text(path):
+        if by_name[path.name] is None:
+            raise InputError(f"{path.stem}: line 1: unreadable")
+        return by_name[path.name]
+
+    with mock.patch.object(ingestion, "_read_text", read_text):
+        try:
+            return _read_panel(_names(texts), method if column == "price" else None), None
+        except (InputError, csv.Error) as exc:
+            return None, (type(exc).__name__, str(exc))
+
+
+def _assert_panel_matches_alone(column, texts, method):
+    """``_read_panel`` gives what each file gives alone; return its series, or None if it raised."""
+    expected, error = _alone(column, texts, method)
+    series, panel_error = _panel(column, texts, method)
+    assert panel_error == error
+    if error is None:
+        assert [s.asset_id for s in series] == [s.asset_id for s in expected]
+        assert [s.dates for s in series] == [s.dates for s in expected]
+        assert [s.returns.tobytes() for s in series] == [s.returns.tobytes() for s in expected]
+    return series
 
 
 @settings(max_examples=200, deadline=None)
-@given(calendar_files(), st.integers(12, 80))
-def test_shared_calendar_matches_row_loop(files, chunk_chars):
+@given(calendar_files(), st.integers(12, 80), st.sampled_from(ReturnMethod))
+def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
     # small chunks end a calendar match mid-file, in any chunk
+    column, texts = panel
     with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars):
-        for text, column in files:
-            slot = ingestion._calendar
+        calendar = _NO_CALENDAR
+        for text in texts:
             outcome = _outcome(_public, text, column)
             assert outcome == _outcome(_row_loop_alone, text, column)
-            if isinstance(outcome[0], str):  # rejected: the slot keeps the last accepted calendar
-                assert ingestion._calendar is slot
+            if isinstance(outcome[0], str):  # rejected: the fast path converts it, the type refuses it
                 continue
-            column_text, dates, tail = ingestion._calendar
-            assert dates is outcome[0]  # the series' own tuple
-            if dates == slot[1]:
-                assert dates is slot[1]
-            assert column_text == ",".join(map(dt.date.isoformat, dates))
-            assert tail == dates[1:]
-            if column == "price" and len(dates) > 1:
-                assert to_returns(PriceSeries("x", dates, outcome[1])).dates is tail
+            read, values = _parse_plain(text, column, calendar)
+            assert (read.dates, values.tolist()) == outcome
+            if read.dates == calendar.dates:
+                assert read is calendar
+            assert read.column == ",".join(map(dt.date.isoformat, read.dates))
+            assert read.dates.tail == read.dates[1:]
+            if column == "price" and len(read.dates) > 1:
+                assert to_returns(PriceSeries("x", read.dates, values)).dates is read.dates.tail
+            calendar = read
+        series = _assert_panel_matches_alone(column, texts, method)
+    # consecutive series on one calendar hold one dates tuple: a price file's returns, its tail
+    for first, second in zip(series or (), (series or ())[1:]):
+        if first.dates == second.dates:
+            assert first.dates is second.dates
+
+
+# How a file of a panel relates to the panel's calendar; "same" is drawn most, so files group.
+# "overflow" files hold finite values whose ratios overflow or underflow.
+PANEL_FILES = ("same", "same", "same", "prefix", "longer", "other", "damaged", "unreadable", "overflow")
+
+
+@st.composite
+def panels(draw):
+    """A value column and the texts of 1-20 files of it, None for a file that cannot be read."""
+    column = draw(st.sampled_from(sorted(PARSERS)))
+    gaps = st.lists(st.integers(1, 3), min_size=1, max_size=12)
+    calendar = _days(dt.date(2000, 1, 3), draw(gaps))
+    texts = []
+    for kind in draw(st.lists(st.sampled_from(PANEL_FILES), min_size=1, max_size=20)):
+        if kind == "damaged":
+            texts.append(draw(damaged_texts(column))[0])
+        elif kind == "unreadable":
+            texts.append(None)
+        elif kind == "overflow":
+            values = [draw(st.sampled_from(("1e-300", "1e300", "1.0"))) for _ in calendar]
+            texts.append(_text(column, calendar, values))
+        else:
+            days = {
+                "same": calendar,
+                "prefix": calendar[:draw(st.integers(1, len(calendar)))],
+                "longer": calendar + _days(calendar[-1] + dt.timedelta(days=1), draw(gaps)),
+                "other": _days(dt.date(1999, 12, 30), draw(gaps)),
+            }[kind]
+            texts.append(_text(column, days, [repr(draw(st.floats(0.01, 1000.0))) for _ in days]))
+    return column, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(panels(), st.integers(12, 80), st.integers(1, 60), st.sampled_from(ReturnMethod))
+def test_panel_reader_matches_each_file_read_alone(panel, chunk_chars, group_values, method):
+    # small chunks and groups put chunk and group ends anywhere in a panel
+    column, texts = panel
+    with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(ingestion, "_GROUP_VALUES", group_values):
+        _assert_panel_matches_alone(column, texts, method)
+
+
+# Byte runs that decode, fail to decode, or end a line in each way universal newlines knows.
+BYTES = (
+    b"a", b"1", b",", b"\n", b"\r", b"\r\n",
+    b"\xff", b"\xe2", b"\xc3\xa9", b"\xc2\x85", b"\xe2\x80\xa8", b"\xef\xbb\xbf",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(BYTES), max_size=40))
+def test_read_text_matches_path_read_text(runs):
+    # _read_text decodes one binary read itself; Path.read_text is the reference
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "f.csv"
+        path.write_bytes(b"".join(runs))
+        try:
+            expected = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            line = exc.object[:exc.start].count(b"\n") + 1
+            with pytest.raises(InputError, match=f"^{re.escape(f'{path}: line {line}: {exc}')}$"):
+                ingestion._read_text(path)
+        else:
+            assert ingestion._read_text(path) == expected
 
 
 def test_shared_calendar_keeps_the_date_prefix_check():
     # the trap's even cells are exactly the calendar 2020-01-01, 2020-01-02 and
     # its commas match its newlines; only the line-prefix check turns it away
-    parse_returns("date,return\n2020-01-01,1\n2020-01-02,2\n", "c")
+    calendar, _ = _parse_plain("date,return\n2020-01-01,1\n2020-01-02,2\n", "return", _NO_CALENDAR)
     trap = "date,return\n2020-01-01\n5,2020-01-02,7\n"
-    assert _fast(trap, "return") is None
+    assert _parse_plain(trap, "return", calendar) is None
     with pytest.raises(InputError, match="^x: line 2: expected 2 fields, got 1$"):
         parse_returns(trap, "x")

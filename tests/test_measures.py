@@ -155,6 +155,23 @@ def test_non_numeric_input_names_its_field(build, field, bad):
         build(bad)
 
 
+def test_sample_copies_what_its_caller_can_write():
+    # a read-only float array over read-only memory is kept; any other input is copied
+    block = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    block.flags.writeable = False
+    assert np.shares_memory(Sample(block[1]).values, block)
+    owner = np.arange(1.0, 4.0)
+    view = owner[:]
+    view.flags.writeable = False
+    for values in (owner, view, owner.reshape(1, 3)[0], owner.tolist(), np.arange(1, 4)):
+        sample = Sample(values)
+        assert not np.shares_memory(sample.values, owner) and not sample.values.flags.writeable
+    kept = np.array([1.0, np.nan])
+    kept.flags.writeable = False
+    with pytest.raises(InputError, match="^sample must be finite$"):
+        Sample(kept)  # a kept array is checked all the same
+
+
 def test_tce_finite_in_finite_out():
     # the tail {-1e308, -1e308} sums past the float range; its mean does not
     with warnings.catch_warnings():

@@ -197,6 +197,14 @@ def test_insufficient_rows():
         ols2([(1.0, 10.0, 0.9), (2.0, 20.0, 0.95), (3.0, 50.0, 0.99)])
 
 
+def test_no_rows_are_zero_rows():
+    # an empty table column is short of rows, like any other, not of the wrong shape
+    with pytest.raises(InputError, match=r"^insufficient rows for regression: need at least 4, got 0$"):
+        ols2([])
+    with pytest.raises(InputError, match=r"^expected rows of \(error, duration, level\), got shape \(1, 0\)$"):
+        ols2([[]])
+
+
 def test_non_finite_rows_rejected():
     rows = [(1.0, 10.0, 0.9), (float("nan"), 20.0, 0.95), (3.0, 50.0, 0.99), (4.0, 100.0, 0.9)]
     with pytest.raises(InputError):
