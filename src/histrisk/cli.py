@@ -25,7 +25,7 @@ from typing import Sequence
 from . import __version__
 from .backtest import DEFAULT_GRID, RiskSpec, SuiteReport, parse_label, run_suite
 from .errors import InputError
-from .ingestion import ReturnMethod, ReturnSeries, _csv_records, _read_panel, _read_text
+from .ingestion import ReturnMethod, _csv_records, _read_panel, _read_text
 from .measures import (
     DiscreteDistribution,
     QuantileConvention,
@@ -94,12 +94,6 @@ def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
     if args.default_grid or not args.spec:
         pairs.extend(DEFAULT_GRID)
     return [RiskSpec(n, alpha, conv, strict) for n, alpha in pairs]
-
-
-def _load_series(args: argparse.Namespace) -> list[ReturnSeries]:
-    if args.prices:
-        return _read_panel(args.prices, ReturnMethod(args.method))
-    return _read_panel(args.returns, None)
 
 
 def _fmt_rate(value: float) -> str:
@@ -200,7 +194,7 @@ def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
     specs = _build_specs(args)
-    series = _load_series(args)
+    series = _read_panel(args.prices or args.returns, ReturnMethod(args.method) if args.prices else None)
     report = run_suite(series, specs)
 
     out_dir = Path(args.out)

@@ -14,14 +14,17 @@ mark, csv errors, field counts and the physical line each record starts on.
 The fast path, ``_parse_plain``, owns the format of a plain file: the exact
 header, then ``YYYY-MM-DD,<value>`` lines each ending in a newline, checked by
 C-level passes over the whole text.  It converts the values to one float64
-array and the dates to a calendar, and checks neither.  The series types,
-``PriceSeries`` and ``ReturnSeries``, are defined here and own the values
-through one check both share, ``_check_series``: a non-empty one-line asset id,
-finite values, one date per value and strictly increasing dates, to which
-``PriceSeries`` adds price positivity.  The row loop, ``_row_loop``, reads the
-records one by one and writes every line-numbered value message.  Quoted or
-padded cells, a padded header, blank lines and raw carriage returns take it,
-and so does every plain file whose values or dates a series type refuses.
+array and the dates to a calendar, and turns the file away unless its series
+type accepts both: the dates must increase, and the values pass the type's own
+checks, finite and, for prices, none at or below zero.  So a plain file is one
+its series type accepts.  The series types, ``PriceSeries`` and
+``ReturnSeries``, are defined here and own the values through one check both
+share, ``_check_series``: a non-empty one-line asset id, finite values, one
+date per value and strictly increasing dates, to which ``PriceSeries`` adds
+price positivity.  The row loop, ``_row_loop``, reads the records one by one
+and writes every line-numbered value message.  Quoted or padded cells, a padded
+header, blank lines and raw carriage returns take it, and so does every file
+whose values or dates a series type refuses.
 
 The dates a series holds are an ``_Increasing``, the tuple type whose
 constructor walks them once and finds them strictly increasing;
@@ -38,19 +41,21 @@ itself, so every series on it holds the same dates and, for returns of prices,
 the same tail.  From the first chunk that differs, the matched dates are copied
 from the calendar, the rest converted, and the file's dates become the
 calendar.  Consecutive files on one calendar are converted as one group of at
-most ``_GROUP_VALUES`` values: their stacked values get one finiteness check,
-prices one positivity check and one ratio and log (``_returns``, which
-``to_returns`` runs too), and then each file becomes one ``ReturnSeries``
-holding its row of the read-only block, not a copy; the series' own check finds
-a non-finite return with the message ``to_returns`` gives it.  A group keeps
-its files' paths and values, not their texts: with the texts universe_screen's
-peak RSS rose 0.1-0.2 MB, and with copies of the rows 0.03-0.05 MB.  When a
-read fails, the fast path turns a file away or a group fails its checks, the
-files before it are finished first; then the file, or each file of the failed
-group (read again), goes alone through ``parse_prices`` and ``to_returns`` or
-``parse_returns``, so the first bad file in the order given raises the error it
-raises alone.  The public functions share no calendar between calls.  A
-calendar hit relies on the line-prefix regex below:
+most ``_GROUP_VALUES`` values: their stacked prices get one ratio and log
+(``_returns``, which ``to_returns`` runs too), and then each file becomes one
+``ReturnSeries`` holding its row of the read-only block, not a copy.  The fast
+path has checked every value, so the series' own check can only find an asset
+id that spans lines or a ratio that overflowed, with the message the file gives
+alone.  A group keeps its files' asset ids and values, not their texts: with
+the texts universe_screen's peak RSS rose 0.1-0.2 MB, and with copies of the
+rows 0.03-0.05 MB.  Each file is read once, on every path, so an input can be
+a pipe or a FIFO.  When a read fails, the files before it are finished first
+and the error is raised; a file the fast path turns away, or a single price,
+goes alone, after the files before it, from the text already read through
+``parse_prices`` and ``to_returns`` or ``parse_returns``.  So the first bad
+file in the order given raises the error it raises alone.  The public
+functions share no calendar between calls.  A calendar hit relies on the
+line-prefix regex below:
 ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n`` has as many commas as newlines
 and even cells equal to the calendar 2020-01-01, 2020-01-02, and only the regex
 sends it to the row loop.
@@ -205,9 +210,10 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Calendar, np.ndarray] | None:
-    """The calendar and the values of ``text`` if it is a plain file with increasing dates, else None.
+    """The calendar and the values of ``text`` if it is a plain file that its series type accepts, else None.
 
-    The calendar is ``calendar`` itself when the file's dates are its dates.  No value is checked.
+    Accepted means increasing dates and finite values, positive for prices.  The calendar is ``calendar``
+    itself when the file's dates are its dates.
     """
     text = text.lstrip("\ufeff")
     header = f"date,{value_column}\n"
@@ -241,6 +247,10 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
             values[done:done + len(days)] = np.fromiter(map(float, cells[1::2]), float, len(days))
             done += len(days)
             start = stop
+        # the series types' own checks; a min/max compare ran NumPy loops nothing else in a backtest runs,
+        # and their code, paged in, raised universe_screen's peak RSS by 0.07-0.14 MB
+        if not np.isfinite(values).all() or value_column == "price" and (values <= 0.0).any():
+            return None
         if dates is None and rows == len(shared):
             return calendar, values
         return _Calendar(",".join(pieces), _Increasing(shared[:rows] if dates is None else dates)), values
@@ -249,14 +259,10 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
 
 
 def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series:
-    """``text`` as a ``series_type``, by the fast path when the type takes what it reads, else by the row loop."""
+    """``text`` as a ``series_type``, by the fast path when it accepts the file, else by the row loop."""
     plain = _parse_plain(text, value_column, _NO_CALENDAR)
     if plain is not None:
-        calendar, values = plain
-        try:
-            return series_type(asset_id, calendar.dates, values)
-        except InputError:
-            pass
+        return series_type(asset_id, plain[0].dates, plain[1])
     return series_type(asset_id, *_row_loop(text, value_column, asset_id))
 
 
@@ -284,36 +290,35 @@ def _read_alone(text: str, asset_id: str, method: ReturnMethod | None) -> Return
 
 
 def _read_group(
-    group: list[tuple[Path, np.ndarray]], dates: _Increasing, method: ReturnMethod | None
+    group: list[tuple[str, np.ndarray]], dates: _Increasing, method: ReturnMethod | None
 ) -> list[ReturnSeries]:
-    """The return series of ``group``'s ``(path, values)`` files on ``dates``; ``group`` is left empty.
+    """The return series of ``group``'s ``(asset id, values)`` files on ``dates``; ``group`` is left empty.
 
-    One set of NumPy calls checks and converts them all.  If a file holds a value its row loop refuses,
-    or a single price, each file is read again, alone, and the first such file raises its error.
+    One set of NumPy calls converts them all.  A file whose asset id spans lines or whose ratios overflow
+    raises the error it raises alone; no earlier file of the group raises one.
     """
     if not group:
         return []
-    paths = [path for path, _ in group]
+    ids = [asset_id for asset_id, _ in group]
     block = np.stack([values for _, values in group])
     group.clear()  # the values live on in ``block`` alone, not beside it while the returns are made
-    if not np.isfinite(block).all() or method is not None and (len(dates) < 2 or not (block > 0.0).all()):
-        return [_read_alone(_read_text(path), path.stem, method) for path in paths]
     if method is not None:
         block, dates = _returns(block, method), dates.tail
     block.flags.writeable = False  # so each series holds its row, not a copy of it
-    # a non-finite return fails here with the message to_returns gives it
-    return [ReturnSeries(path.stem, dates, row) for path, row in zip(paths, block)]
+    # an asset id that spans lines, or a non-finite return, fails here with the message the file gives alone
+    return [ReturnSeries(asset_id, dates, row) for asset_id, row in zip(ids, block)]
 
 
 def _read_panel(paths: Sequence[str], method: ReturnMethod | None) -> list[ReturnSeries]:
     """The return series of the files at ``paths``, in order: of prices by ``method``, or of returns when it is None.
 
-    Each series is the one its file alone gives, and the first bad file raises the error it raises alone.
+    Each file is read once.  Each series is the one its file alone gives, and the first bad file raises
+    the error it raises alone.
     """
     value_column = "return" if method is None else "price"
     series: list[ReturnSeries] = []
     calendar = _NO_CALENDAR
-    group: list[tuple[Path, np.ndarray]] = []  # files on ``calendar`` not yet converted
+    group: list[tuple[str, np.ndarray]] = []  # files on ``calendar`` not yet converted
     for path in map(Path, paths):
         try:
             text = _read_text(path)
@@ -321,13 +326,15 @@ def _read_panel(paths: Sequence[str], method: ReturnMethod | None) -> list[Retur
             series += _read_group(group, calendar.dates, method)
             raise
         plain = _parse_plain(text, value_column, calendar)
-        if plain is None or plain[0] is not calendar:
+        # a single price forms no return: to_returns raises its error
+        alone = plain is None or method is not None and plain[1].size < 2
+        if alone or plain[0] is not calendar:
             series += _read_group(group, calendar.dates, method)
-        if plain is None:
+        if alone:
             series.append(_read_alone(text, path.stem, method))
             continue
         calendar, values = plain
-        group.append((path, values))
+        group.append((path.stem, values))
         if (len(group) + 1) * values.size > _GROUP_VALUES:
             series += _read_group(group, calendar.dates, method)
     series += _read_group(group, calendar.dates, method)

@@ -245,6 +245,24 @@ def test_backtest_reports_the_first_bad_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+def test_backtest_reads_a_pipe_once(tmp_path):
+    # a pipe gives its text once: the good file on /dev/stdin is read once, and
+    # bad.csv, on the same calendar, reports the error it reports alone
+    rng = np.random.default_rng(75)
+    write_returns_csv(tmp_path / "good.csv", rng.normal(0, 0.01, 30))
+    write_returns_csv(tmp_path / "bad.csv", [0.01, float("nan"), *rng.normal(0, 0.01, 28)])
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-m", "histrisk", "backtest", "--returns", "/dev/stdin", str(tmp_path / "bad.csv"),
+         "--spec", "2:0.5", "--out", str(out)],
+        input=(tmp_path / "good.csv").read_text(encoding="utf-8"), capture_output=True, text=True, timeout=120,
+        cwd=Path(cli.__file__).resolve().parents[1],  # the package under test, not an installed one
+    )
+    assert (proc.returncode, proc.stderr) == (1, "error: bad: line 3: non-finite return 'nan'\n")
+    assert not out.exists()
+
+
 class _FullDiskHandle:
     def __init__(self, handle):
         self.handle = handle

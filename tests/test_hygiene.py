@@ -4,7 +4,8 @@ No top-level import goes unused, each module imports only the sibling
 modules listed before it in ``LAYERS``, so no import cycle can form, and no
 function rebinds module state other than the names in ``GLOBALS``, which are none.  Every
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
-and no ``re.compile`` pattern needs the 3.11 regex syntax.
+and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
+files in one place, the loop of ``_read_panel``, so no file is read twice.
 """
 
 import ast
@@ -155,3 +156,40 @@ def test_newer_regex_syntax_finds_possessive_and_atomic_patterns():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_newer_regex_syntax(path):
     assert newer_regex_syntax(path.read_text(encoding="utf-8")) == []
+
+
+def name_uses(source: str, name: str) -> list[str]:
+    """Where each use of ``name`` sits: its enclosing functions and loops, outermost first, joined by ``/``."""
+    found = []
+
+    def visit(node: ast.AST, where: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Name) and node.id == name:
+            found.append("/".join(where))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where += (node.name,)
+        elif isinstance(node, (ast.For, ast.While)):
+            where += (type(node).__name__.lower(),)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_name_uses_finds_calls_and_references():
+    source = (
+        "def read(path): ...\n"
+        "def one(paths):\n"
+        "    for path in paths:\n"
+        "        read(path)\n"
+        "def two(paths):\n"
+        "    while paths:\n"
+        "        return list(map(read, paths))\n"
+        "read('top')\n"
+    )
+    assert name_uses(source, "read") == ["one/for", "two/while", ""]
+
+
+def test_ingestion_reads_files_in_one_place():
+    # a second read site could read a pipe or a FIFO twice
+    assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_read_text") == ["_read_panel/for"]

@@ -283,3 +283,48 @@ def test_panel_reader_converts_each_group_once(monkeypatch, universe_texts):
     assert calls == {"ReturnSeries": 1_000, "_returns": 77}
     assert len({id(series.dates) for series in kept}) == 1
     assert len({id(series.returns.base) for series in kept}) == 77
+
+
+PANEL_TEXT = "date,price\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-03,3.0\n"
+PANEL_TEXTS = {
+    "a": PANEL_TEXT,
+    "b": PANEL_TEXT.replace("3.0", "4.0"),
+    "c": PANEL_TEXT.replace("1.0", "0.5"),
+    "nan": PANEL_TEXT.replace("2.0", "nan"),
+    "one": "date,price\n2020-01-01,1.0\n",
+    "quoted": PANEL_TEXT.replace("2.0", '"2.0"'),
+    "overflow": PANEL_TEXT.replace("1.0", "1e-300").replace("2.0", "1e300"),
+    "a\nb": PANEL_TEXT,
+}
+
+
+@pytest.mark.parametrize("files, read, message", [
+    (("a", "b", "c"), 3, None),
+    (("a", "nan", "c"), 2, "^nan: line 3: non-finite price 'nan'$"),
+    (("a", "one", "c"), 2, "^one: need at least 2 prices to form returns, got 1$"),
+    (("a", "b", "missing"), 3, "No such file or directory"),
+    (("a", "quoted", "c"), 3, None),
+    # a grouped file that fails only once its group is converted raises before a later unreadable file
+    (("a", "overflow", "missing"), 3, "^overflow: returns must be finite$"),
+    (("a", "a\nb", "missing"), 3, "^asset_id must be one line, got 'a\\\\nb'$"),
+], ids=["valid", "refused", "one-price", "missing", "read-alone", "overflow", "line-break"])
+def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, message):
+    # a pipe or a FIFO gives its text once, so every path through the reader
+    # reads each file once, and none after the one that raises
+    for name, text in PANEL_TEXTS.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    reads = collections.Counter()
+    read_text = histrisk.ingestion._read_text
+
+    def counted(path):
+        reads[path.stem] += 1
+        return read_text(path)
+
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", counted)
+    paths = [str(tmp_path / f"{name}.csv") for name in files]
+    if message is None:
+        assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == list(files)
+    else:
+        with pytest.raises((InputError, OSError), match=message):
+            _read_panel(paths, ReturnMethod.LOG)
+    assert reads == collections.Counter(files[:read])

@@ -112,15 +112,12 @@ def _row_loop_alone(text, column):
 
 
 def _fast(text, column):
-    """The series of what the fast path alone reads of ``text``, or None if it or the series type turns it away."""
+    """The series of what the fast path alone reads of ``text``, or None if it turns it away.
+
+    The fast path takes only what the series type accepts, so building the series raises nothing.
+    """
     plain = _parse_plain(text, column, _NO_CALENDAR)
-    if plain is None:
-        return None
-    calendar, values = plain
-    try:
-        return PARSERS[column][1]("x", calendar.dates, values)
-    except InputError:
-        return None
+    return None if plain is None else PARSERS[column][1]("x", plain[0].dates, plain[1])
 
 
 PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
@@ -286,7 +283,8 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
         for text in texts:
             outcome = _outcome(_public, text, column)
             assert outcome == _outcome(_row_loop_alone, text, column)
-            if isinstance(outcome[0], str):  # rejected: the fast path converts it, the type refuses it
+            if isinstance(outcome[0], str):  # rejected: the type refuses it, so the fast path turns it away
+                assert _parse_plain(text, column, calendar) is None
                 continue
             read, values = _parse_plain(text, column, calendar)
             assert (read.dates, values.tolist()) == outcome
@@ -305,8 +303,10 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
 
 
 # How a file of a panel relates to the panel's calendar; "same" is drawn most, so files group.
-# "overflow" files hold finite values whose ratios overflow or underflow.
-PANEL_FILES = ("same", "same", "same", "prefix", "longer", "other", "damaged", "unreadable", "overflow")
+# "overflow" files hold finite values whose ratios overflow or underflow; "refused" files are
+# plain files on the calendar with one cell from ``REFUSED``, which a price or a return refuses.
+PANEL_FILES = ("same", "same", "same", "prefix", "longer", "other", "damaged", "unreadable", "overflow", "refused")
+REFUSED = ("nan", "inf", "-inf", "0", "-1.0", "1e400")
 
 
 @st.composite
@@ -323,6 +323,10 @@ def panels(draw):
             texts.append(None)
         elif kind == "overflow":
             values = [draw(st.sampled_from(("1e-300", "1e300", "1.0"))) for _ in calendar]
+            texts.append(_text(column, calendar, values))
+        elif kind == "refused":
+            values = [repr(draw(st.floats(0.01, 1000.0))) for _ in calendar]
+            values[draw(st.integers(0, len(calendar) - 1))] = draw(st.sampled_from(REFUSED))
             texts.append(_text(column, calendar, values))
         else:
             days = {
