@@ -304,7 +304,8 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
 
 # How a file of a panel relates to the panel's calendar; "same" is drawn most, so files group.
 # "overflow" files hold finite values whose ratios overflow or underflow; "refused" files are
-# plain files on the calendar with one cell from ``REFUSED``, which a price or a return refuses.
+# plain files on the calendar with one cell from ``REFUSED``: a price refuses each, a return the
+# non-finite ones.
 PANEL_FILES = ("same", "same", "same", "prefix", "longer", "other", "damaged", "unreadable", "overflow", "refused")
 REFUSED = ("nan", "inf", "-inf", "0", "-1.0", "1e400")
 
