@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .backtest import (
     DEFAULT_GRID,
     RiskSpec,
@@ -17,22 +19,29 @@ from .backtest import (
 from .errors import InputError, SingularDesignError
 from .ingestion import PriceSeries, ReturnMethod, ReturnSeries, parse_prices, parse_returns, to_returns
 from .measures import (
-    AxiomReport,
-    DiscreteDistribution,
     Level,
     QuantileConvention,
     Sample,
-    axiom_report,
-    convolve_independent,
     largest_alpha_quantile,
     quantile_index,
     smallest_alpha_quantile,
     tce,
-    tce_discrete,
     var,
-    var_discrete,
 )
-from .stats import RegressionSummary, ols2, student_t_sf
+
+# Names loaded on first use (PEP 562), by the module that defines them: a
+# backtest needs neither module, so ``import histrisk.cli`` loads neither.
+_LAZY = {
+    "AxiomReport": "axioms",
+    "DiscreteDistribution": "axioms",
+    "axiom_report": "axioms",
+    "convolve_independent": "axioms",
+    "tce_discrete": "axioms",
+    "var_discrete": "axioms",
+    "RegressionSummary": "stats",
+    "ols2": "stats",
+    "student_t_sf": "stats",
+}
 
 __all__ = [
     "AxiomReport",
@@ -72,3 +81,15 @@ __all__ = [
     "var_backtest",
     "var_discrete",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -40,7 +40,9 @@ no date object is built while they match; a whole match returns the calendar
 itself, so every series on it holds the same dates and, for returns of prices,
 the same tail.  From the first chunk that differs, the matched dates are copied
 from the calendar, the rest converted, and the file's dates become the
-calendar.  Consecutive files on one calendar are converted as one group of at
+calendar; if only its first date differs, it takes the old calendar's tail,
+so returns of prices on either hold one dates tuple.
+Consecutive files on one calendar are converted as one group of at
 most ``_GROUP_VALUES`` values: their stacked prices get one ratio and log
 (``_returns``, which ``to_returns`` runs too), and then each file becomes one
 ``ReturnSeries`` holding its row of the read-only block, not a copy.  The fast
@@ -81,7 +83,6 @@ avoid that frame, but they need Python 3.11, and histrisk supports 3.10.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
 import functools
@@ -253,7 +254,11 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
             return None
         if dates is None and rows == len(shared):
             return calendar, values
-        return _Calendar(",".join(pieces), _Increasing(shared[:rows] if dates is None else dates)), values
+        read = _Calendar(",".join(pieces), _Increasing(shared[:rows] if dates is None else dates))
+        if rows > 1 and read.column[10:] == column[10:]:
+            # only the first date differs, so returns of prices on either calendar hold one dates tuple
+            read.dates.tail = shared.tail
+        return read, values
     except ValueError:  # a cell's conversion, or dates out of order
         return None
 
@@ -343,6 +348,8 @@ def _read_panel(paths: Sequence[str], method: ReturnMethod | None) -> list[Retur
 
 def _csv_records(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
     """``(line it starts on, cells)`` for each csv record; each after the header has the header's field count."""
+    import csv  # imported here: a backtest of plain files never reaches the row loop
+
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     line, width = 1, None
     try:

@@ -167,6 +167,21 @@ def test_backtest_rejects_asset_id_with_line_break(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", [b"b\xff.csv", b"b.\xff"], ids=["stem", "suffix"])
+def test_backtest_rejects_a_file_name_that_is_not_utf8(tmp_path, capsys, name):
+    # the UTF-8 report files hold the name (metadata's inputs line) and its stem (the asset id)
+    raw = os.path.join(os.fsencode(tmp_path), name)
+    try:
+        write_returns_csv(Path(os.fsdecode(raw)), np.random.default_rng(72).normal(0, 0.01, 30))
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "report"
+    assert main(["backtest", "--returns", os.fsdecode(raw), "--spec", "2:0.5", "--out", str(out)]) == 1
+    shown = raw.decode("utf-8", "backslashreplace")
+    assert capsys.readouterr() == ("", f"error: {shown}: file name is not valid UTF-8\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["backtest", "regress"])
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "histrisk"
 GLOBALS = set()
 
 # Each module may import only the modules before it; ``__init__`` and ``__main__`` sit above them all.
-LAYERS = ("errors", "measures", "stats", "ingestion", "backtest", "cli")
+LAYERS = ("errors", "measures", "axioms", "stats", "ingestion", "backtest", "cli")
 
 
 def unused_imports(source: str) -> list[str]:

@@ -285,7 +285,18 @@ def test_panel_reader_converts_each_group_once(monkeypatch, universe_texts):
     assert len({id(series.returns.base) for series in kept}) == 77
 
 
-PANEL_TEXT = "date,price\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-03,3.0\n"
+def test_price_calendars_differing_in_the_first_date_share_return_dates(monkeypatch):
+    # the second calendar differs from the first in its first date only, so their returns fall on one set of days
+    texts = {
+        f"{name}.csv": "date,price\n" + "".join(f"2000-01-{day:02d},{day}.0\n" for day in days)
+        for name, days in (("a", (3, 5, 6)), ("b", (4, 5, 6)), ("c", (2, 5, 6)), ("d", (2, 4, 6)))
+    }
+    a, b, c, d = _read_universe(monkeypatch, texts)
+    assert a.dates is b.dates is c.dates == (dt.date(2000, 1, 5), dt.date(2000, 1, 6))
+    assert d.dates == (dt.date(2000, 1, 4), dt.date(2000, 1, 6))
+
+
+PANEL_TEXT ="date,price\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-03,3.0\n"
 PANEL_TEXTS = {
     "a": PANEL_TEXT,
     "b": PANEL_TEXT.replace("3.0", "4.0"),
