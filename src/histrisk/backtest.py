@@ -10,10 +10,15 @@ judged against a forecast computed from the n days strictly before it.
   A block with zero violations has no realized tail mean -- the tail
   expectation "did not exist" there -- and is counted, not errored.
 
-One function per kind, ``_var_result`` and ``_tce_result``, returns a pair's
-row or raises ``_Skip``, the InputError that says why the pair cannot be scored
-(too few returns, or no defined prediction): ``run_suite`` records it as a
-SkippedPair, and ``var_backtest`` and ``tce_backtest`` let it propagate.
+``run_suite`` scores a stack of equal-length series (below) at a time.  Its
+length skips, ``N returns < required M``, hold for every series of a stack, so
+they are decided once per stack and spec, and ``_var_rows`` builds a spec's
+VaR rows for the whole stack from one column of the stack's rank counts.
+``_tce_result`` scores one pair, or raises ``_Skip`` when no block has a
+defined prediction, the one skip that depends on the data.  Each skip is
+recorded as a SkippedPair.  ``var_backtest``, ``tce_backtest`` and
+``rolling_var_forecasts`` score one pair and raise ``_Skip``, the InputError
+that says why the pair cannot be scored, through ``_require``.
 
 Both backtests are computed by vectorised kernels rather than per-day loops.
 With q_(k) the 0-based k-th order statistic of the window w preceding day t,
@@ -300,10 +305,16 @@ class _Skip(InputError):
     """A pair a backtest cannot score: ``run_suite`` records it, the public backtests raise it."""
 
 
+def _shortfall(size: int, days: int) -> str | None:
+    """Why a series of ``size`` returns cannot be scored on ``days`` of them, or None when it can."""
+    return f"{size} returns < required {days}" if size < days else None
+
+
 def _require(series: ReturnSeries, days: int) -> None:
     """Raise _Skip unless ``series`` holds at least ``days`` returns."""
-    if len(series) < days:
-        raise _Skip(f"{len(series)} returns < required {days}")
+    reason = _shortfall(len(series), days)
+    if reason:
+        raise _Skip(reason)
 
 
 def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt.date, float]]:
@@ -317,30 +328,36 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     return list(zip(series.dates[n:], values.tolist()))
 
 
-def _var_result(
-    series: ReturnSeries, spec: RiskSpec, counts: dict[tuple[int, bool], np.ndarray], column: int
-) -> VarBacktestRow:
-    """The VaR row of one pair; ``counts`` holds the ``_rank_passes`` of the stack whose ``column`` is the series."""
+def _var_rows(
+    stack: Sequence[ReturnSeries], spec: RiskSpec, k: int, counts: dict[tuple[int, bool], np.ndarray]
+) -> list[VarBacktestRow]:
+    """The VaR rows of ``spec`` for every series of ``stack``, in order, from column ``k`` of its ``_rank_passes``.
+
+    The series hold more than ``spec.duration_n`` returns, and k is the spec's ``quantile_index``.
+    """
     n = spec.duration_n
-    _require(series, n + 1)
-    violations = int(counts[n, spec.strict_violation][column, quantile_index(n, spec.level, spec.conv)])
-    evaluation_days = len(series) - n
-    observed_rate = violations / evaluation_days
+    evaluation_days = len(stack[0]) - n
     tail_probability = 1.0 - spec.level.alpha
-    relative_error = (observed_rate - tail_probability) / tail_probability
-    return VarBacktestRow(
-        asset_id=series.asset_id,
-        spec=spec,
-        evaluation_days=evaluation_days,
-        violations=violations,
-        observed_rate=observed_rate,
-        relative_error=relative_error,
-    )
+    # in Python, not NumPy: the rates are the floats a row always held, and no NumPy loop
+    # that a backtest did not run before pages its code in
+    return [
+        VarBacktestRow(
+            series.asset_id,
+            spec,
+            evaluation_days,
+            violations,
+            rate := violations / evaluation_days,
+            (rate - tail_probability) / tail_probability,
+        )
+        for series, violations in zip(stack, counts[n, spec.strict_violation][:, k].tolist())
+    ]
 
 
 def _tce_blocks(series: ReturnSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The whole n-day blocks of ``series``, each sorted, and at [i, j] the mean of block i's j + 1 smallest returns."""
-    _require(series, 2 * n)
+    """The whole n-day blocks of ``series``, each sorted, and at [i, j] the mean of block i's j + 1 smallest returns.
+
+    ``series`` holds at least 2n returns.
+    """
     rows = np.sort(series.returns[:len(series) // n * n].reshape(-1, n), axis=1)
     sizes = np.arange(1.0, n + 1)
 
@@ -352,10 +369,14 @@ def _tce_blocks(series: ReturnSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, _finite_mean(prefix_means, rows)
 
 
-def _tce_result(series: ReturnSeries, spec: RiskSpec, table: tuple[np.ndarray, np.ndarray]) -> TceBacktestRow:
-    """The TCE backtest row of one pair, read off the ``_tce_blocks`` of its series and duration."""
+def _tce_result(
+    series: ReturnSeries, spec: RiskSpec, k: int, table: tuple[np.ndarray, np.ndarray]
+) -> TceBacktestRow:
+    """The TCE backtest row of one pair, read off the ``_tce_blocks`` of its series and duration.
+
+    k is the spec's ``quantile_index``.  Raises _Skip when no block has a defined prediction.
+    """
     rows, means = table
-    k = quantile_index(spec.duration_n, spec.level, spec.conv)
     in_tail = np.less if spec.strict_violation else np.less_equal
     q = rows[:-1, k:k + 1]
     window_tail = in_tail(rows[:-1], q).sum(axis=1)
@@ -382,7 +403,9 @@ def _tce_result(series: ReturnSeries, spec: RiskSpec, table: tuple[np.ndarray, n
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    return _var_result(series, spec, _rank_passes([series], [spec]), 0)
+    _require(series, spec.duration_n + 1)
+    k = quantile_index(spec.duration_n, spec.level, spec.conv)
+    return _var_rows([series], spec, k, _rank_passes([series], [spec]))[0]
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -396,7 +419,9 @@ def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
     ``blocks_undefined_prediction``.  Block error = realized mean of violating
     returns + predicted tail expectation.
     """
-    return _tce_result(series, spec, _tce_blocks(series, spec.duration_n))
+    n = spec.duration_n
+    _require(series, 2 * n)
+    return _tce_result(series, spec, quantile_index(n, spec.level, spec.conv), _tce_blocks(series, n))
 
 
 def _check_labels(specs: Sequence[RiskSpec]) -> None:
@@ -443,27 +468,40 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
 
     _check_labels(spec_list)
 
+    ks = [quantile_index(spec.duration_n, spec.level, spec.conv) for spec in spec_list]
     var_rows: list[VarBacktestRow] = []
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for stack in _stacks(series_list):
+        # every series of a stack has one length, so the length skips and the VaR rows are the stack's, per spec
+        size = len(stack[0])
         counts = _rank_passes(stack, spec_list)
+        by_duration = {}  # duration -> (spec, k, VaR skip, the stack's VaR rows, TCE skip) of each of its specs
+        for spec, k in zip(spec_list, ks):
+            n = spec.duration_n
+            var_skip = _shortfall(size, n + 1)
+            stack_rows = None if var_skip else _var_rows(stack, spec, k, counts)
+            by_duration.setdefault(n, []).append((spec, k, var_skip, stack_rows, _shortfall(size, 2 * n)))
+        del counts  # not alive through the TCE tables or the next stack's rank pass
         for column, series in enumerate(stack):
-            for n, same_n in itertools.groupby(spec_list, key=lambda spec: spec.duration_n):
+            asset_id = series.asset_id
+            for n, same_n in by_duration.items():
                 table = None  # built by the first TCE pair that needs it
-                for spec in same_n:
+                for spec, k, var_skip, stack_rows, tce_skip in same_n:
+                    if var_skip:
+                        skips.append(SkippedPair(asset_id, spec, "var", var_skip))
+                    else:
+                        var_rows.append(stack_rows[column])
+                    if tce_skip:
+                        skips.append(SkippedPair(asset_id, spec, "tce", tce_skip))
+                        continue
+                    if table is None:
+                        table = _tce_blocks(series, n)
                     try:
-                        var_rows.append(_var_result(series, spec, counts, column))
+                        tce_rows.append(_tce_result(series, spec, k, table))
                     except _Skip as skip:
-                        skips.append(SkippedPair(series.asset_id, spec, "var", str(skip)))
-                    try:
-                        if table is None:
-                            table = _tce_blocks(series, n)
-                        tce_rows.append(_tce_result(series, spec, table))
-                    except _Skip as skip:
-                        skips.append(SkippedPair(series.asset_id, spec, "tce", str(skip)))
+                        skips.append(SkippedPair(asset_id, spec, "tce", str(skip)))
                 del table  # not alive through the next table or the next stack's rank pass
-        del counts  # nor are this stack's counts
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

@@ -150,29 +150,56 @@ def _write_all(out_dir: Path, files: dict[str, str]) -> None:
         os.close(lock)  # and with it the lock
 
 
+def _spec_positions(report: SuiteReport) -> dict[int, int]:
+    """The position in ``report.specs`` of each spec, keyed by its ``id``.
+
+    ``run_suite``'s rows hold the very specs of ``report.specs``, so a row's spec is looked up by identity:
+    a RiskSpec's generated hash costs about 2 us, more than the rest of a cell.
+    """
+    return {id(spec): j for j, spec in enumerate(report.specs)}
+
+
 def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]]:
-    """Cell grids for the three tables, keyed by table basename; a pair with no row reads ``skipped``."""
-    cells = {
-        "tce_nonexistence": {(r.asset_id, r.spec): _fmt_rate(r.nonexistence_rate) for r in report.tce_rows},
-        "var_errors": {(r.asset_id, r.spec): _fmt_error(r.relative_error) for r in report.var_rows},
-        "tce_errors": {
-            (r.asset_id, r.spec): "NA" if r.mean_error is None else _fmt_error(r.mean_error)
-            for r in report.tce_rows
-        },
+    """Cell grids for the three tables, keyed by table basename; a pair with no row reads ``skipped``.
+
+    A grid holds a row per spec and a column per asset, and each report row fills the cell at its positions.
+    """
+    position = _spec_positions(report)
+    column = {asset: i for i, asset in enumerate(report.asset_ids)}
+    grids = {
+        name: [["skipped"] * len(column) for _ in report.specs]
+        for name in ("tce_nonexistence", "var_errors", "tce_errors")
     }
-    return {
-        name: [(spec.label(), [grid.get((asset, spec), "skipped") for asset in report.asset_ids])
-               for spec in report.specs]
-        for name, grid in cells.items()
-    }
+    for row in report.var_rows:
+        grids["var_errors"][position[id(row.spec)]][column[row.asset_id]] = _fmt_error(row.relative_error)
+    for row in report.tce_rows:
+        j, i = position[id(row.spec)], column[row.asset_id]
+        grids["tce_nonexistence"][j][i] = _fmt_rate(row.nonexistence_rate)
+        grids["tce_errors"][j][i] = "NA" if row.mean_error is None else _fmt_error(row.mean_error)
+    labels = [spec.label() for spec in report.specs]
+    return {name: list(zip(labels, grid)) for name, grid in grids.items()}
 
 
-def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
+def _input_names(paths: Sequence[Path]) -> str:
+    """The file names of ``paths``, sorted and shell-quoted: the metadata's ``inputs``."""
+    import shlex  # imported here, as in _render_metadata
+
+    return " ".join(map(shlex.quote, sorted(path.name for path in paths)))
+
+
+def _render_metadata(report: SuiteReport, args: argparse.Namespace, inputs: str) -> str:
+    """The metadata file of a backtest whose ``_input_names`` are ``inputs``.
+
+    Each spec label and asset id is formatted once.
+    """
     # imported here: at module load, shlex raised the peak RSS of a 10 x 5,000
     # return backtest by 0.15-0.29 MB (2-CPU x86 host, five checkout paths)
     import shlex
 
     first = report.specs[0]
+    labels = [spec.label() for spec in report.specs]
+    position = _spec_positions(report)
+    quoted = {asset: shlex.quote(asset) for asset in report.asset_ids}
     lines = [
         f"tool = histrisk {__version__}",
         "command = backtest",
@@ -180,26 +207,37 @@ def _render_metadata(report: SuiteReport, args: argparse.Namespace) -> str:
         f"violation = {'strict' if first.strict_violation else 'nonstrict'}",
         f"return_method = {args.method if args.prices else 'precomputed'}",
         f"format = {args.format}",
-        "assets = " + " ".join(map(shlex.quote, report.asset_ids)),
-        "inputs = " + " ".join(map(shlex.quote, sorted(Path(p).name for p in (args.prices or args.returns)))),
-        "specs = " + " ".join(spec.label() for spec in report.specs),
+        "assets = " + " ".join(quoted.values()),
+        f"inputs = {inputs}",
+        "specs = " + " ".join(labels),
     ]
-    for skip in report.skips:
-        lines.append(f"skipped = {shlex.quote(skip.asset_id)} {skip.spec.label()} {skip.kind}: {skip.reason}")
+    lines += [
+        f"skipped = {quoted[skip.asset_id]} {labels[position[id(skip.spec)]]} {skip.kind}: {skip.reason}"
+        for skip in report.skips
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _shown(path: Path) -> str:
+    """``path`` as text, each byte of it that is not UTF-8 shown as ``\\xff``, so a stdout with strict errors prints it."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
     specs = _build_specs(args)
-    paths = args.prices or args.returns
+    # one Path per input: the name check, the reader and the metadata's input names share it
+    paths = [Path(path) for path in args.prices or args.returns]
     for path in paths:
         # the UTF-8 report files hold each file's name (metadata) and stem (asset id)
         try:
-            Path(path).name.encode("utf-8")
+            path.name.encode("utf-8")
         except UnicodeEncodeError:
-            shown = os.fsencode(path).decode("utf-8", "backslashreplace")
-            raise InputError(f"{shown}: file name is not valid UTF-8") from None
+            raise InputError(f"{_shown(path)}: file name is not valid UTF-8") from None
     series = _read_panel(paths, ReturnMethod(args.method) if args.prices else None)
+    # only the names' one line lives on: on universe_screen, the 1,000 Paths alive through run_suite
+    # raised the peak RSS by 0.2-0.4 MB, and a list of their names by 0.08-0.12 MB
+    inputs = _input_names(paths)
+    del paths
     report = run_suite(series, specs)
 
     out_dir = Path(args.out)
@@ -207,10 +245,10 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     render = _render_csv if args.format == "csv" else _render_md
     tables = _render_tables(report)
     files = {f"{name}.{args.format}": render("spec", report.asset_ids, rows) for name, rows in tables.items()}
-    files["metadata.txt"] = _render_metadata(report, args)
+    files["metadata.txt"] = _render_metadata(report, args, inputs)
     _write_all(out_dir, files)
     for name in files:
-        print(f"wrote {out_dir / name}")
+        print(f"wrote {_shown(out_dir / name)}")
     return 0
 
 

@@ -314,7 +314,7 @@ def _read_group(
     return [ReturnSeries(asset_id, dates, row) for asset_id, row in zip(ids, block)]
 
 
-def _read_panel(paths: Sequence[str], method: ReturnMethod | None) -> list[ReturnSeries]:
+def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> list[ReturnSeries]:
     """The return series of the files at ``paths``, in order: of prices by ``method``, or of returns when it is None.
 
     Each file is read once.  Each series is the one its file alone gives, and the first bad file raises
@@ -324,7 +324,7 @@ def _read_panel(paths: Sequence[str], method: ReturnMethod | None) -> list[Retur
     series: list[ReturnSeries] = []
     calendar = _NO_CALENDAR
     group: list[tuple[str, np.ndarray]] = []  # files on ``calendar`` not yet converted
-    for path in map(Path, paths):
+    for path in paths:
         # dropped before the next read, so two texts are never held at once: with both, tick_ties'
         # peak RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
         text = None

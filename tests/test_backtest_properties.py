@@ -254,6 +254,46 @@ def test_one_rank_pass_serves_every_duration(data, size, levels, chunk):
                             assert_tce_row_matches(tce_rows[pair], returns)
 
 
+def scored_alone(series, spec):
+    """The VaR and the TCE outcome of one pair alone: its row, or the SkippedPair its InputError makes."""
+    outcomes = []
+    for kind, backtest_pair in (("var", var_backtest), ("tce", tce_backtest)):
+        try:
+            outcomes.append(backtest_pair(series, spec))
+        except InputError as skip:
+            outcomes.append(SkippedPair(series.asset_id, spec, kind, str(skip)))
+    return outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    spec_keys=st.lists(st.tuples(st.integers(2, 12), LEVELS), min_size=1, max_size=4, unique=True),
+    spec_rest=st.lists(st.tuples(st.sampled_from(CONVENTIONS), st.booleans()), min_size=4, max_size=4),
+    per_stack=st.integers(1, 3),
+)
+def test_run_suite_scores_each_stack_as_each_pair_alone(data, spec_keys, spec_rest, per_stack):
+    # Runs of equal-length series, their lengths at n, n + 1, 2n - 1 and 2n of some duration n, so each
+    # stack is skipped for some specs and scored for others; _CHUNK_ELEMS splits a run of the longest
+    # length into stacks of ``per_stack`` series.  Every row and skip must be the one its pair gives
+    # alone, in the order of a loop over the assets and, within one, over the specs.
+    specs = [RiskSpec(n, Level(level), conv, strict) for (n, level), (conv, strict) in zip(spec_keys, spec_rest)]
+    lengths = sorted({size for n, _ in spec_keys for size in (n, n + 1, 2 * n - 1, 2 * n)})
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(lengths), st.integers(1, 4)), min_size=1, max_size=4))
+    series = []
+    for size, count in runs:
+        for _ in range(count):
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+            series.append(make_series(np.array(values) / 50, asset=f"a{len(series):02d}"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backtest, "_CHUNK_ELEMS", 16 * max(lengths) * per_stack)
+        report = run_suite(series, specs)
+    expected = [outcome for s in series for spec in report.specs for outcome in scored_alone(s, spec)]
+    assert report.var_rows == tuple(row for row in expected if isinstance(row, backtest.VarBacktestRow))
+    assert report.tce_rows == tuple(row for row in expected if isinstance(row, backtest.TceBacktestRow))
+    assert report.skips == tuple(skip for skip in expected if isinstance(skip, SkippedPair))
+
+
 LABEL_SERIES = ReturnSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), np.array([0.01, -0.02]))
 
 

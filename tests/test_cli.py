@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import histrisk.cli as cli
+from histrisk import RiskSpec, SuiteReport, TceBacktestRow, VarBacktestRow
 from histrisk.cli import main
 
 
@@ -139,6 +140,45 @@ def test_backtest_markdown_escapes_pipes_in_asset_ids(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_render_tables_fills_each_cell_at_its_spec_and_asset():
+    # "a" is skipped for the middle spec's VaR alone, and one TCE cell has no mean error
+    s10, s20, s2095 = specs = (RiskSpec(10, 0.9), RiskSpec(20, 0.9), RiskSpec(20, 0.95))
+    report = SuiteReport(
+        asset_ids=("a", "b"),
+        specs=specs,
+        var_rows=(
+            VarBacktestRow("a", s10, 40, 5, 0.125, 0.25),
+            VarBacktestRow("a", s2095, 30, 1, 1 / 30, -1 / 3),
+            VarBacktestRow("b", s10, 40, 4, 0.1, 0.0),
+            VarBacktestRow("b", s20, 30, 6, 0.2, 1.0),
+            VarBacktestRow("b", s2095, 30, 0, 0.0, -1.0),
+        ),
+        tce_rows=(
+            TceBacktestRow("a", s10, 4, 1, 0.25, -0.0125),
+            TceBacktestRow("b", s10, 4, 4, 1.0, None),
+            TceBacktestRow("b", s2095, 2, 0, 0.0, 0.5, 1),
+        ),
+        skips=(),
+    )
+    assert cli._render_tables(report) == {
+        "tce_nonexistence": [
+            ("10,90%", ["0.250000", "1.000000"]),
+            ("20,90%", ["skipped", "skipped"]),
+            ("20,95%", ["skipped", "0.000000"]),
+        ],
+        "var_errors": [
+            ("10,90%", ["+0.250000", "+0.000000"]),
+            ("20,90%", ["skipped", "+1.000000"]),
+            ("20,95%", ["-0.333333", "-1.000000"]),
+        ],
+        "tce_errors": [
+            ("10,90%", ["-0.012500", "NA"]),
+            ("20,90%", ["skipped", "skipped"]),
+            ("20,95%", ["skipped", "+0.500000"]),
+        ],
+    }
+
+
 def test_backtest_metadata_quotes_ids_and_inputs(tmp_path):
     rng = np.random.default_rng(67)
     paths = [tmp_path / "a b.csv", tmp_path / "c.csv"]
@@ -180,6 +220,27 @@ def test_backtest_rejects_a_file_name_that_is_not_utf8(tmp_path, capsys, name):
     shown = raw.decode("utf-8", "backslashreplace")
     assert capsys.readouterr() == ("", f"error: {shown}: file name is not valid UTF-8\n")
     assert not out.exists()
+
+
+def test_backtest_prints_an_out_directory_that_is_not_utf8(tmp_path):
+    # under a stdout with strict errors each written file is printed with its undecodable bytes shown as \xff
+    write_returns_csv(tmp_path / "good.csv", np.random.default_rng(76).normal(0, 0.01, 30))
+    raw = os.path.join(os.fsencode(tmp_path), b"o\xff")
+    try:
+        os.mkdir(raw)
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "histrisk", "backtest", "--returns", str(tmp_path / "good.csv"),
+         "--spec", "2:0.5", "--out", os.fsdecode(raw)],
+        env=dict(os.environ, PYTHONIOENCODING="utf-8"), capture_output=True, timeout=120,
+        cwd=Path(cli.__file__).resolve().parents[1],  # the package under test, not an installed one
+    )
+    names = ["tce_nonexistence.csv", "var_errors.csv", "tce_errors.csv", "metadata.txt"]
+    shown = raw.decode("utf-8", "backslashreplace")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8") == "".join(f"wrote {shown}/{name}\n" for name in names)
+    assert sorted(os.listdir(raw)) == sorted(name.encode() for name in names)
 
 
 @pytest.mark.parametrize("command", ["backtest", "regress"])

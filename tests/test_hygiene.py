@@ -5,7 +5,8 @@ modules listed before it in ``LAYERS``, so no import cycle can form, and no
 function rebinds module state other than the names in ``GLOBALS``, which are none.  Every
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
-files in one place, the loop of ``_read_panel``, so no file is read twice.
+files in one place, the loop of ``_read_panel``, so no file is read twice, and
+a backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``.
 """
 
 import ast
@@ -159,7 +160,10 @@ def test_no_newer_regex_syntax(path):
 
 
 def name_uses(source: str, name: str) -> list[str]:
-    """Where each use of ``name`` sits: its enclosing functions and loops, outermost first, joined by ``/``."""
+    """Where each use of ``name`` sits: its enclosing functions and loops, outermost first, joined by ``/``.
+
+    Annotations are skipped: they hint at types and call nothing.
+    """
     found = []
 
     def visit(node: ast.AST, where: tuple[str, ...]) -> None:
@@ -169,8 +173,11 @@ def name_uses(source: str, name: str) -> list[str]:
             where += (node.name,)
         elif isinstance(node, (ast.For, ast.While)):
             where += (type(node).__name__.lower(),)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, where)
 
     visit(ast.parse(source), ())
     return found
@@ -190,6 +197,25 @@ def test_name_uses_finds_calls_and_references():
     assert name_uses(source, "read") == ["one/for", "two/while", ""]
 
 
+def test_name_uses_skips_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "def f(path: Path, *rest: Path) -> Path:\n"
+        "    kept: list[Path] = []\n"
+        "    return Path(path)\n"
+    )
+    assert name_uses(source, "Path") == ["f"]
+
+
 def test_ingestion_reads_files_in_one_place():
     # a second read site could read a pipe or a FIFO twice
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_read_text") == ["_read_panel/for"]
+
+
+def test_backtest_builds_each_input_path_once():
+    # _cmd_backtest makes one Path per input and one for --out; the name check, _read_panel and
+    # _render_metadata take those, and build none (_read_error_table is regress's one table)
+    assert name_uses((SRC / "cli.py").read_text(encoding="utf-8"), "Path") == [
+        "_cmd_backtest", "_cmd_backtest", "_read_error_table",
+    ]
+    assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "Path") == []

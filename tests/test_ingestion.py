@@ -3,6 +3,7 @@ import datetime as dt
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def universe_texts():
 
 def _read_universe(monkeypatch, texts):
     monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
-    return _read_panel(list(texts), ReturnMethod.LOG)
+    return _read_panel(list(map(Path, texts)), ReturnMethod.LOG)
 
 
 def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
@@ -332,10 +333,26 @@ def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, m
         return read_text(path)
 
     monkeypatch.setattr(histrisk.ingestion, "_read_text", counted)
-    paths = [str(tmp_path / f"{name}.csv") for name in files]
+    paths = [tmp_path / f"{name}.csv" for name in files]
     if message is None:
         assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == list(files)
     else:
         with pytest.raises((InputError, OSError), match=message):
             _read_panel(paths, ReturnMethod.LOG)
     assert reads == collections.Counter(files[:read])
+
+
+def test_panel_reader_reads_the_paths_it_is_given(tmp_path, monkeypatch):
+    # the caller's Path objects themselves reach _read_text, grouped or read alone: the reader wraps none again
+    paths = [tmp_path / f"{name}.csv" for name in ("a", "quoted", "b")]
+    for path in paths:
+        path.write_text(PANEL_TEXTS[path.stem], encoding="utf-8")
+    read, read_text = [], histrisk.ingestion._read_text
+
+    def recorded(path):
+        read.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == ["a", "quoted", "b"]
+    assert len(read) == len(paths) and all(seen is given for seen, given in zip(read, paths))
