@@ -87,7 +87,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InputError, _integer
+from .errors import InputError, _integer, _reject_repeats
 from .ingestion import ReturnSeries
 from .measures import Level, QuantileConvention, _as_level, _finite_mean, quantile_index
 
@@ -456,9 +456,7 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     if not series_list:
         raise InputError("at least one return series is required")
     ids = [s.asset_id for s in series_list]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise InputError(f"duplicate asset ids: {', '.join(dupes)}")
+    _reject_repeats(ids, "asset ids")
     spec_list = list(dict.fromkeys(specs))
     if not spec_list:
         raise InputError("at least one risk spec is required")

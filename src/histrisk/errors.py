@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the scalar reads whose failures they report."""
+"""Exception types shared across the package, and the checks whose failures they report."""
 
+import collections
 import math
+from typing import Iterable
 
 
 class InputError(ValueError):
@@ -27,3 +29,10 @@ def _finite(value: object) -> float | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return real if math.isfinite(real) else None
+
+
+def _reject_repeats(names: Iterable[str], what: str) -> None:
+    """Raise ``duplicate <what>: <name>, ...``, the repeated ``names`` sorted, if any name repeats."""
+    repeated = sorted(name for name, count in collections.Counter(names).items() if count > 1)
+    if repeated:
+        raise InputError(f"duplicate {what}: {', '.join(repeated)}")

@@ -42,20 +42,18 @@ the same tail.  From the first chunk that differs, the matched dates are copied
 from the calendar, the rest converted, and the file's dates become the
 calendar; if only its first date differs, it takes the old calendar's tail,
 so returns of prices on either hold one dates tuple.
-Consecutive files on one calendar are converted as one group of at
-most ``_GROUP_VALUES`` values: their stacked prices get one ratio and log
-(``_returns``, which ``to_returns`` runs too), and then each file becomes one
-``ReturnSeries`` holding its row of the read-only block, not a copy.  The fast
-path has checked every value, so the series' own check can only find an asset
-id that spans lines or a ratio that overflowed, with the message the file gives
-alone.  A group keeps its files' asset ids and values, not their texts: with
-the texts universe_screen's peak RSS rose 0.1-0.2 MB, and with copies of the
-rows 0.03-0.05 MB.  Each file is read once, on every path, so an input can be
-a pipe or a FIFO.  When a read fails, the files before it are finished first
-and the error is raised; a file the fast path turns away, or a single price,
-goes alone, after the files before it, from the text already read through
-``parse_prices`` and ``to_returns`` or ``parse_returns``.  So the first bad
-file in the order given raises the error it raises alone.  The public
+Two paths with one stem, which would give one asset id, are refused before the
+first read.  Each file is converted and checked before the next is read: a
+plain file's prices get their ratio and log (``_returns``, which ``to_returns``
+runs too), and the file becomes one ``ReturnSeries`` that owns the read-only
+array, not a copy; no ``PriceSeries`` is built.  The fast path has checked
+every value, so the series' own check can only find an asset id that spans
+lines or a ratio that overflowed, with the message the file gives alone.  A
+file the fast path turns away, or a single price, goes alone from the text
+already read through ``parse_prices`` and ``to_returns`` or
+``parse_returns``.  Each file is read once, so an input can be a pipe or a
+FIFO, and no file is read after the first bad one, which raises the error it
+raises alone.  The public
 functions share no calendar between calls.  A calendar hit relies on the
 line-prefix regex below:
 ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n`` has as many commas as newlines
@@ -96,7 +94,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _reject_repeats
 from .measures import _checked_array
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -108,10 +106,6 @@ _NOT_PLAIN_ROW = re.compile(r"\n(?![0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],)"
 
 # Body characters split per pass of the columnar fast path (rounded up to a line end).
 _CHUNK_CHARS = 1 << 16
-
-# Values the panel reader checks and converts per group: the 4,096 returns a
-# stack of ``backtest``'s rank pass holds.
-_GROUP_VALUES = 1 << 12
 
 
 class ReturnMethod(enum.Enum):
@@ -294,58 +288,35 @@ def _read_alone(text: str, asset_id: str, method: ReturnMethod | None) -> Return
     return to_returns(parse_prices(text, asset_id), method)
 
 
-def _read_group(
-    group: list[tuple[str, np.ndarray]], dates: _Increasing, method: ReturnMethod | None
-) -> list[ReturnSeries]:
-    """The return series of ``group``'s ``(asset id, values)`` files on ``dates``; ``group`` is left empty.
-
-    One set of NumPy calls converts them all.  A file whose asset id spans lines or whose ratios overflow
-    raises the error it raises alone; no earlier file of the group raises one.
-    """
-    if not group:
-        return []
-    ids = [asset_id for asset_id, _ in group]
-    block = np.stack([values for _, values in group])
-    group.clear()  # the values live on in ``block`` alone, not beside it while the returns are made
-    if method is not None:
-        block, dates = _returns(block, method), dates.tail
-    block.flags.writeable = False  # so each series holds its row, not a copy of it
-    # an asset id that spans lines, or a non-finite return, fails here with the message the file gives alone
-    return [ReturnSeries(asset_id, dates, row) for asset_id, row in zip(ids, block)]
-
-
 def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> list[ReturnSeries]:
     """The return series of the files at ``paths``, in order: of prices by ``method``, or of returns when it is None.
 
-    Each file is read once.  Each series is the one its file alone gives, and the first bad file raises
-    the error it raises alone.
+    Two paths with one stem are refused before any file is read.  Each file is read once, and converted and
+    checked before the next is read, so each series is the one its file alone gives, and the first bad file
+    raises the error it raises alone.
     """
+    _reject_repeats((path.stem for path in paths), "asset ids")
     value_column = "return" if method is None else "price"
     series: list[ReturnSeries] = []
     calendar = _NO_CALENDAR
-    group: list[tuple[str, np.ndarray]] = []  # files on ``calendar`` not yet converted
     for path in paths:
         # dropped before the next read, so two texts are never held at once: with both, tick_ties'
         # peak RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
         text = None
-        try:
-            text = _read_text(path)
-        except (InputError, OSError):
-            series += _read_group(group, calendar.dates, method)
-            raise
+        text = _read_text(path)
         plain = _parse_plain(text, value_column, calendar)
         # a single price forms no return: to_returns raises its error
-        alone = plain is None or method is not None and plain[1].size < 2
-        if alone or plain[0] is not calendar:
-            series += _read_group(group, calendar.dates, method)
-        if alone:
+        if plain is None or method is not None and plain[1].size < 2:
             series.append(_read_alone(text, path.stem, method))
             continue
         calendar, values = plain
-        group.append((path.stem, values))
-        if (len(group) + 1) * values.size > _GROUP_VALUES:
-            series += _read_group(group, calendar.dates, method)
-    series += _read_group(group, calendar.dates, method)
+        del plain  # so the prices are freed once their returns are made
+        dates = calendar.dates
+        if method is not None:
+            values, dates = _returns(values, method), dates.tail
+        values.flags.writeable = False  # so the series holds this array, not a copy of it
+        # an asset id that spans lines, or a non-finite return, fails here with the message the file gives alone
+        series.append(ReturnSeries(path.stem, dates, values))
     return series
 
 

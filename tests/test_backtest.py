@@ -440,6 +440,13 @@ def test_run_suite_rejects_duplicates_and_empties():
         run_suite([series], [])
 
 
+def test_run_suite_names_each_duplicate_asset_id_once_sorted():
+    rng = np.random.default_rng(55)
+    series = [make_series(rng.normal(size=50), asset=asset) for asset in ("b", "a", "c", "b", "a", "a")]
+    with pytest.raises(InputError, match="^duplicate asset ids: a, b$"):
+        run_suite(series, [RiskSpec(10, Level(0.9))])
+
+
 def test_default_grid():
     assert len(DEFAULT_GRID) == 13
     assert DEFAULT_GRID[0] == (10, 0.90)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import histrisk.cli as cli
+import histrisk.ingestion
 from histrisk import RiskSpec, SuiteReport, TceBacktestRow, VarBacktestRow
 from histrisk.cli import main
 
@@ -465,6 +466,21 @@ def test_backtest_duplicate_asset_stems(tmp_path, capsys):
     ])
     assert rc == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_backtest_duplicate_asset_stems_read_no_file(tmp_path, monkeypatch, capsys):
+    # the stems are checked before the first read, so a missing second file is never reached
+    write_returns_csv(tmp_path / "a.csv", np.random.default_rng(68).normal(0, 0.01, 50))
+    read, read_text = [], histrisk.ingestion._read_text
+
+    def recorded(path):
+        read.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "sub" / "a.csv")]
+    rc = main(["backtest", "--returns", *paths, "--spec", "2:0.5", "--out", str(tmp_path / "o")])
+    assert (rc, capsys.readouterr().err, read) == (1, "error: duplicate asset ids: a\n", [])
 
 
 def write_error_table(path, assets, model):

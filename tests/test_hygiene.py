@@ -6,7 +6,8 @@ function rebinds module state other than the names in ``GLOBALS``, which are non
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
 files in one place, the loop of ``_read_panel``, so no file is read twice, and
-a backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``.
+makes returns in that loop and in ``to_returns`` alone, one file at a time; a
+backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``.
 """
 
 import ast
@@ -210,6 +211,13 @@ def test_name_uses_skips_annotations():
 def test_ingestion_reads_files_in_one_place():
     # a second read site could read a pipe or a FIFO twice
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_read_text") == ["_read_panel/for"]
+
+
+def test_ingestion_makes_returns_in_two_places():
+    # the panel reader converts each file alone, so no group of files is batched beside backtest's rank stacks
+    assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_returns") == [
+        "_read_panel/for", "to_returns",
+    ]
 
 
 def test_backtest_builds_each_input_path_once():

@@ -265,9 +265,9 @@ def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
     assert held <= 4 << 20
 
 
-def test_panel_reader_converts_each_group_once(monkeypatch, universe_texts):
-    # one ReturnSeries a file and no PriceSeries; one returns kernel a group of
-    # 13 files (4,096 // 301), so 77 for 1,000 files, each series a row of its group's block
+def test_panel_reader_converts_each_file_alone(monkeypatch, universe_texts):
+    # one ReturnSeries and one returns kernel a file, and no PriceSeries; each
+    # series owns its read-only returns, not a view of a block or a copy
     calls = collections.Counter()
 
     def counted(name, function):
@@ -281,9 +281,9 @@ def test_panel_reader_converts_each_group_once(monkeypatch, universe_texts):
     monkeypatch.setattr(histrisk.ingestion, "_returns", counted("_returns", histrisk.ingestion._returns))
     kept = _read_universe(monkeypatch, universe_texts)
     assert [series.asset_id for series in kept] == [name[:-4] for name in universe_texts]
-    assert calls == {"ReturnSeries": 1_000, "_returns": 77}
+    assert calls == {"ReturnSeries": 1_000, "_returns": 1_000}
     assert len({id(series.dates) for series in kept}) == 1
-    assert len({id(series.returns.base) for series in kept}) == 77
+    assert all(not series.returns.flags.writeable and series.returns.base is None for series in kept)
 
 
 def test_price_calendars_differing_in_the_first_date_share_return_dates(monkeypatch):
@@ -316,9 +316,9 @@ PANEL_TEXTS = {
     (("a", "one", "c"), 2, "^one: need at least 2 prices to form returns, got 1$"),
     (("a", "b", "missing"), 3, "No such file or directory"),
     (("a", "quoted", "c"), 3, None),
-    # a grouped file that fails only once its group is converted raises before a later unreadable file
-    (("a", "overflow", "missing"), 3, "^overflow: returns must be finite$"),
-    (("a", "a\nb", "missing"), 3, "^asset_id must be one line, got 'a\\\\nb'$"),
+    # a file that fails only once converted raises before the next file is read
+    (("a", "overflow", "missing"), 2, "^overflow: returns must be finite$"),
+    (("a", "a\nb", "missing"), 2, "^asset_id must be one line, got 'a\\\\nb'$"),
 ], ids=["valid", "refused", "one-price", "missing", "read-alone", "overflow", "line-break"])
 def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, message):
     # a pipe or a FIFO gives its text once, so every path through the reader
@@ -343,7 +343,7 @@ def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, m
 
 
 def test_panel_reader_reads_the_paths_it_is_given(tmp_path, monkeypatch):
-    # the caller's Path objects themselves reach _read_text, grouped or read alone: the reader wraps none again
+    # the caller's Path objects themselves reach _read_text, plain or read alone: the reader wraps none again
     paths = [tmp_path / f"{name}.csv" for name in ("a", "quoted", "b")]
     for path in paths:
         path.write_text(PANEL_TEXTS[path.stem], encoding="utf-8")

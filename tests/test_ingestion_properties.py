@@ -302,7 +302,7 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
             assert first.dates is second.dates
 
 
-# How a file of a panel relates to the panel's calendar; "same" is drawn most, so files group.
+# How a file of a panel relates to the panel's calendar; "same" is drawn most, so files share it.
 # "overflow" files hold finite values whose ratios overflow or underflow; "refused" files are
 # plain files on the calendar with one cell from ``REFUSED``: a price refuses each, a return the
 # non-finite ones.
@@ -341,12 +341,11 @@ def panels(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(panels(), st.integers(12, 80), st.integers(1, 60), st.sampled_from(ReturnMethod))
-def test_panel_reader_matches_each_file_read_alone(panel, chunk_chars, group_values, method):
-    # small chunks and groups put chunk and group ends anywhere in a panel
+@given(panels(), st.integers(12, 80), st.sampled_from(ReturnMethod))
+def test_panel_reader_matches_each_file_read_alone(panel, chunk_chars, method):
+    # small chunks put chunk ends anywhere in a panel
     column, texts = panel
-    with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars), \
-            mock.patch.object(ingestion, "_GROUP_VALUES", group_values):
+    with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars):
         _assert_panel_matches_alone(column, texts, method)
 
 

@@ -71,6 +71,13 @@ def test_program_entry_freezes_the_heap_before_exit():
     assert proc.stdout.endswith("monotone in level: true\nfrozen True\n")
 
 
+def test_axioms_runs_without_docstrings():
+    # -OO strips __doc__, so nothing the parser prints may come from a docstring
+    plain, stripped = python("-m", "histrisk", "axioms"), python("-OO", "-m", "histrisk", "axioms")
+    assert (stripped.returncode, stripped.stderr) == (0, "")
+    assert stripped.stdout == plain.stdout != ""
+
+
 def test_main_freezes_nothing(tmp_path, capsys):
     # in-process callers run main many times; a freeze would pin their cyclic garbage
     (tmp_path / "a.csv").write_text(RETURNS, encoding="utf-8")
