@@ -149,13 +149,19 @@ class RiskSpec:
 
 
 def parse_label(label: str) -> tuple[int, float]:
-    """Read a report label back: '250,95%' -> (250, 0.95)."""
-    parts = label.split(",")
-    if len(parts) == 2 and parts[1].endswith("%"):
-        try:
-            return int(parts[0]), float(parts[1].rstrip("%")) / 100.0
-        except ValueError:
-            pass
+    """Read a report label back: '250,95%' -> (250, 0.95).
+
+    Only a label ``RiskSpec.label()`` can write is read: a duration of at least 2 and a percentage in (0, 100]
+    that render back to ``label`` itself, so ``20,95%%``, ``+20,95%``, ``2_0,95%`` and ``20,nan%`` are refused.
+    """
+    duration_text, _, percent_text = label.partition(",")
+    try:
+        duration, percent = int(duration_text), float(percent_text[:-1])
+    except ValueError:
+        pass
+    else:
+        if duration >= 2 and 0.0 < percent <= 100.0 and f"{duration},{percent:g}%" == label:
+            return duration, percent / 100.0
     raise InputError(f"invalid spec label {label!r}, expected e.g. '250,95%'")
 
 

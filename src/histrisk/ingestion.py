@@ -14,7 +14,8 @@ mark, csv errors, field counts and the physical line each record starts on.
 The fast path, ``_parse_plain``, owns the format of a plain file: the exact
 header, then ``YYYY-MM-DD,<value>`` lines each ending in a newline, checked by
 C-level passes over the whole text.  It converts the values to one float64
-array and the dates to a calendar, and turns the file away unless its series
+array, keeps the checked date column as the file's dates, and turns the file
+away unless its series
 type accepts both: the dates must increase, and the values pass the type's own
 checks, finite and, for prices, none at or below zero.  So a plain file is one
 its series type accepts.  The series types, ``PriceSeries`` and
@@ -26,22 +27,29 @@ and writes every line-numbered value message.  Quoted or padded cells, a padded
 header, blank lines and raw carriage returns take it, and so does every file
 whose values or dates a series type refuses.
 
-The dates a series holds are an ``_Increasing``, the tuple type whose
-constructor walks them once and finds them strictly increasing;
-``_check_series`` trusts that type, and the ``tail`` of one, the dates of the
-returns formed from prices on it, needs no walk.  So a dates tuple is walked
-once, whatever number of series hold it.
+The dates a series holds are a ``_Dates``, a read-only sequence of strictly
+increasing dates.  Dates given as objects are walked once, when constructed,
+and kept as a tuple.  Dates read from a plain file are kept as its checked date
+column, the ISO cells joined by ``","``, and their ``dt.date`` tuple is built
+from that text on first use (a backtest reads no date, so it builds none);
+that builder is the one place the column text becomes kept date objects.
+``_check_series`` trusts the type, and the ``tail`` of one, the dates of the
+returns formed from prices on it, is the same text one date on, not walked or
+copied.  So dates are walked once, whatever number of series hold them.
 
 ``_read_panel`` reads the files of one backtest, in the order given, and owns
-their calendar for that one read: the date column text of the last plain file
-it read (the date cells joined by ``","``), and its dates.  Each chunk's date
-cells, joined the same way, are compared with that text at the same offset, and
-no date object is built while they match; a whole match returns the calendar
-itself, so every series on it holds the same dates and, for returns of prices,
-the same tail.  From the first chunk that differs, the matched dates are copied
-from the calendar, the rest converted, and the file's dates become the
-calendar; if only its first date differs, it takes the old calendar's tail,
-so returns of prices on either hold one dates tuple.
+their calendar for that one read: the ``_Dates`` of the last plain file it
+read.  Each chunk's date cells, joined the same way, are compared with the
+calendar's text at the same offset, and no date object is built while they
+match; a whole match returns the calendar itself, so every series on it holds
+the same dates and, for returns of prices, the same tail.  From the first chunk
+that differs, each chunk's cells are converted to check them and the objects
+dropped, and the order is checked on the text, the boundary with the last
+matched date included: once the prefix regex and the conversion have passed
+them, fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
+column then becomes the calendar; if only its first date differs, it takes the
+old calendar's tail, found by comparing the text after the first date, so
+returns of prices on either hold one dates object.
 Two paths with one stem, which would give one asset id, are refused before the
 first read.  Each file is converted and checked before the next is read: a
 plain file's prices get their ratio and log (``_returns``, which ``to_returns``
@@ -63,7 +71,7 @@ sends it to the row loop.
 The fast path splits the body in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so its transient strings stay near 64 Ki
 characters whatever the file's length, and its peak memory is that of the
-values array and, off the calendar, the dates list, below the row loop's.
+values array and, off the calendar, the date column text, below the row loop's.
 
 The format checks are three passes that each run in C: no ``\\r`` anywhere
 (``float`` reads ``\\r1.5``), as many commas as newlines in the body, and a
@@ -83,14 +91,14 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-import functools
 import io
 import math
 import operator
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -113,44 +121,91 @@ class ReturnMethod(enum.Enum):
     LOG = "log"
 
 
-class _Increasing(tuple):
-    """Dates walked once, when constructed, and found strictly increasing."""
+class _Dates(Sequence):
+    """Strictly increasing dates, read-only: ``len``, iteration, indexing and ``==`` as on their tuple.
 
-    def __new__(cls, dates: Iterable[dt.date]) -> _Increasing:
-        dates = super().__new__(cls, dates)
+    Dates given as objects are walked once, when constructed, and kept as a tuple.  Dates read from a plain
+    file are its checked date column, the ``YYYY-MM-DD`` cells joined by ``","``, from the one at ``offset``;
+    their tuple is built from that text on first use and kept.  A slice is a tuple; ``hash`` and ``repr`` are
+    the tuple's, and an equal tuple or ``_Dates`` compares equal from either side.
+    """
+
+    __slots__ = ("_column", "_offset", "_dates", "_tail")
+
+    def __init__(self, dates: Iterable[dt.date]) -> None:
+        dates = tuple(dates)
         if not all(map(operator.lt, dates, dates[1:])):
             prev, curr = next((prev, curr) for prev, curr in zip(dates, dates[1:]) if not prev < curr)
             raise InputError(f"dates must be strictly increasing: {curr} does not follow {prev}")
-        return dates
+        self._column, self._offset, self._dates, self._tail = None, 0, dates, None
 
-    @functools.cached_property
-    def tail(self) -> _Increasing:
-        """These dates less the first, the dates of returns of prices on them; not walked again."""
-        return tuple.__new__(_Increasing, self[1:])
+    @classmethod
+    def _of(cls, column: str | None, offset: int = 0, dates: tuple[dt.date, ...] | None = None) -> _Dates:
+        """Dates already checked: the cells of ``column`` from the one at ``offset``, or ``dates``; no walk."""
+        made = cls.__new__(cls)
+        made._column, made._offset, made._dates, made._tail = column, offset, dates, None
+        return made
+
+    def _built(self) -> tuple[dt.date, ...]:
+        """The tuple of these dates, built from the column text on first use."""
+        if self._dates is None:
+            column = self._column
+            cells = range(11 * self._offset, len(column), 11)
+            self._dates = tuple(dt.date.fromisoformat(column[i:i + 10]) for i in cells)
+        return self._dates
+
+    @property
+    def tail(self) -> _Dates:
+        """These dates less the first, the dates of returns of prices on them; the same object on every call."""
+        if self._tail is None:
+            if self._column is None:
+                self._tail = _Dates._of(None, 0, self._dates[1:])
+            else:
+                self._tail = _Dates._of(self._column, self._offset + 1)
+        return self._tail
+
+    def __len__(self) -> int:
+        if self._dates is not None:
+            return len(self._dates)
+        return max(0, (len(self._column) + 1) // 11 - self._offset)  # 11 characters a date, less the last comma
+
+    def __getitem__(self, index: int | slice) -> dt.date | tuple[dt.date, ...]:
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[dt.date]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Dates):
+            other = other._built()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
-class _Calendar(NamedTuple):
-    column: str  # the date cells joined by ","
-    dates: _Increasing
-
-
-_NO_CALENDAR = _Calendar("", _Increasing(()))
+_NO_CALENDAR = _Dates._of("")
 
 
 def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
-    """Check ``series``; store its dates as an ``_Increasing`` and its ``field`` values read-only; return the values."""
+    """Check ``series``; store its dates as ``_Dates`` and its ``field`` values read-only; return the values."""
     asset_id = series.asset_id
     if not asset_id:
         raise InputError("asset_id must be non-empty")
     if asset_id.splitlines() != [asset_id]:
         raise InputError(f"asset_id must be one line, got {asset_id!r}")
     values = _checked_array(getattr(series, field), f"{asset_id}: {field}")
-    dates = series.dates if isinstance(series.dates, _Increasing) else tuple(series.dates)
+    dates = series.dates if isinstance(series.dates, _Dates) else tuple(series.dates)
     if values.size != len(dates):
         raise InputError(f"{asset_id}: got {len(dates)} dates but {values.size} {field}")
-    if not isinstance(dates, _Increasing):
+    if not isinstance(dates, _Dates):
         try:
-            dates = _Increasing(dates)
+            dates = _Dates(dates)
         except InputError as exc:
             raise InputError(f"{asset_id}: {exc}") from None
     object.__setattr__(series, field, values)
@@ -163,7 +218,7 @@ class PriceSeries:
     """Positive daily prices on strictly increasing dates."""
 
     asset_id: str
-    dates: tuple[dt.date, ...]
+    dates: Sequence[dt.date]
     prices: np.ndarray
 
     def __post_init__(self) -> None:
@@ -179,7 +234,7 @@ class ReturnSeries:
     """Dated daily returns for one asset, strictly increasing dates."""
 
     asset_id: str
-    dates: tuple[dt.date, ...]
+    dates: Sequence[dt.date]
     returns: np.ndarray
 
     def __post_init__(self) -> None:
@@ -204,11 +259,11 @@ def _read_text(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Calendar, np.ndarray] | None:
-    """The calendar and the values of ``text`` if it is a plain file that its series type accepts, else None.
+def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates, np.ndarray] | None:
+    """The dates and the values of ``text`` if it is a plain file that its series type accepts, else None.
 
-    Accepted means increasing dates and finite values, positive for prices.  The calendar is ``calendar``
-    itself when the file's dates are its dates.
+    Accepted means increasing dates and finite values, positive for prices.  ``calendar`` holds the date column
+    of the last plain file read, and the dates are ``calendar`` itself when the file's date column is its.
     """
     text = text.lstrip("\ufeff")
     header = f"date,{value_column}\n"
@@ -223,9 +278,10 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
         or _NOT_PLAIN_ROW.search(text, start - 1, end - 1)
     ):
         return None
-    column, shared = calendar
+    column = calendar._column
     pieces: list[str] = []  # each chunk's date cells, joined by ","
-    dates: list[dt.date] | None = None  # None while every chunk matches ``column``
+    matched = True  # while every chunk matches ``column``
+    last = ""  # the last date cell read, which the next chunk's first must follow
     values = np.empty(rows)
     done = 0
     try:
@@ -235,10 +291,15 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
             days = cells[0:-1:2]
             pieces.append(",".join(days))
             # every date cell is 10 characters, so the chunk's first date sits at 11 per date before it
-            if dates is None and not column.startswith(pieces[-1], 11 * done):
-                dates = list(shared[:done])
-            if dates is not None:
-                dates += map(dt.date.fromisoformat, days)
+            matched = matched and column.startswith(pieces[-1], 11 * done)
+            # off the calendar, each cell must be a date (a date is true; a bad cell raises ValueError), and the
+            # prefix check makes every cell fixed-width ``YYYY-MM-DD``, whose text sorts as its date does; the
+            # dates themselves are dropped, to be built from the column if ever read
+            if not matched and not (
+                all(map(dt.date.fromisoformat, days)) and last < days[0] and all(map(operator.lt, days, days[1:]))
+            ):
+                return None
+            last = days[-1]
             values[done:done + len(days)] = np.fromiter(map(float, cells[1::2]), float, len(days))
             done += len(days)
             start = stop
@@ -246,14 +307,14 @@ def _parse_plain(text: str, value_column: str, calendar: _Calendar) -> tuple[_Ca
         # and their code, paged in, raised universe_screen's peak RSS by 0.07-0.14 MB
         if not np.isfinite(values).all() or value_column == "price" and (values <= 0.0).any():
             return None
-        if dates is None and rows == len(shared):
+        if matched and rows == len(calendar):
             return calendar, values
-        read = _Calendar(",".join(pieces), _Increasing(shared[:rows] if dates is None else dates))
-        # tuples compare by length first, so only a price calendar as long as the last one is walked here
-        if value_column == "price" and rows == len(shared) and read.dates.tail == shared.tail:
-            read.dates.tail = shared.tail  # only the first date differs: returns on either hold one dates tuple
+        read = _Dates._of(",".join(pieces))
+        # only the first date differs: returns of prices on either hold one dates object
+        if value_column == "price" and len(read._column) == len(column) and read._column[11:] == column[11:]:
+            read._tail = calendar.tail
         return read, values
-    except ValueError:  # a cell's conversion, or dates out of order
+    except ValueError:  # a cell's conversion
         return None
 
 
@@ -261,7 +322,7 @@ def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Serie
     """``text`` as a ``series_type``, by the fast path when it accepts the file, else by the row loop."""
     plain = _parse_plain(text, value_column, _NO_CALENDAR)
     if plain is not None:
-        return series_type(asset_id, plain[0].dates, plain[1])
+        return series_type(asset_id, *plain)
     return series_type(asset_id, *_row_loop(text, value_column, asset_id))
 
 
@@ -311,7 +372,7 @@ def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> list[Retu
             continue
         calendar, values = plain
         del plain  # so the prices are freed once their returns are made
-        dates = calendar.dates
+        dates = calendar
         if method is not None:
             values, dates = _returns(values, method), dates.tail
         values.flags.writeable = False  # so the series holds this array, not a copy of it

@@ -4,11 +4,13 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import histrisk.backtest as backtest
+import histrisk.ingestion as ingestion
 from histrisk import (
     DEFAULT_GRID,
     InputError,
@@ -462,6 +464,26 @@ def test_risk_spec_labels():
     assert RiskSpec(20, Level(0.975)).label() == "20,97.5%"
 
 
+@pytest.mark.parametrize("label, pair", [
+    ("250,95%", (250, 0.95)),
+    ("20,97.5%", (20, 0.975)),
+    ("10,100%", (10, 1.0)),
+    ("2,0.5%", (2, 0.005)),
+])
+def test_parse_label_reads_the_labels_specs_write(label, pair):
+    assert backtest.parse_label(label) == pair
+
+
+@pytest.mark.parametrize("label", [
+    "20,95%%", "20,9_5%", "2_0,95%", "+20,95%", " 20,95%", "020,95%", "20,95.0%", "20,95",
+    "1,95%", "20,0%", "20,101%", "20,nan%", "20,inf%",
+])
+def test_parse_label_refuses_labels_no_spec_writes(label):
+    # a label must render back to itself from the pair it gives, with a duration and level a RiskSpec takes
+    with pytest.raises(InputError, match=f"^invalid spec label {re.escape(repr(label))}"):
+        backtest.parse_label(label)
+
+
 def test_run_suite_rejects_labels_that_name_no_spec():
     series = make_series(np.random.default_rng(56).normal(size=30))
     # six significant digits: 10,99.9999% for both, and 10,100% reads back as 1.0
@@ -535,6 +557,24 @@ def test_run_suite_scratch_does_not_grow_with_the_series_count():
         tracemalloc.stop()
     assert len(report.var_rows) == 1000
     assert peak - kept <= 192 * 1024, f"run_suite peaked {(peak - kept) / 1024:.1f} KiB above its report"
+
+
+def test_read_panel_keeps_no_built_dates(monkeypatch):
+    # two 20,000-line return files on one calendar: their series hold one date column as text, 11 bytes a
+    # day, beside 16 bytes a day of returns; the dates and their tuple, about 40 bytes a day, are built
+    # only when read, and a backtest reads none
+    start = dt.date(1950, 1, 1).toordinal()
+    body = "".join(f"{dt.date.fromordinal(start + i)},{i % 7 / 100}\n" for i in range(20_000))
+    texts = {"a.csv": "date,return\n" + body, "b.csv": "date,return\n" + body.replace(",0.0\n", ",0.5\n")}
+    monkeypatch.setattr(ingestion, "_read_text", lambda path: texts[path.name])
+    tracemalloc.start()
+    try:
+        series = ingestion._read_panel([Path("a.csv"), Path("b.csv")], None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * 20_000, f"the read held {held / 20_000:.1f} bytes a day"
+    assert series[0].dates is series[1].dates and series[0].dates._dates is None
 
 
 def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):

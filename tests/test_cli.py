@@ -626,12 +626,29 @@ def test_regress_invalid_spec_label(tmp_path, capsys):
     ('"10,90%","+0.1\n"\n"x,90%",+0.1\n', "line 4: invalid spec label 'x,90%'"),
     ('"10,90%",' + "1" * 140_000 + "\n", "line 2: field larger than field limit (131072)"),
     ('"10,90%",zz\n', "line 2: unparseable cell 'zz' in column 'one'"),
-], ids=["after-multiline-cell", "huge-cell", "bad-cell"])
+    ('"20,95%%",+0.1\n', "line 2: invalid spec label '20,95%%'"),
+    ('"20,9_5%",+0.1\n', "line 2: invalid spec label '20,9_5%'"),
+    ('"2_0,95%",+0.1\n', "line 2: invalid spec label '2_0,95%'"),
+    ('"+20,95%",+0.1\n', "line 2: invalid spec label '+20,95%'"),
+], ids=["after-multiline-cell", "huge-cell", "bad-cell", "doubled-percent", "level-underscore",
+        "duration-underscore", "duration-sign"])
 def test_regress_input_errors_name_table_and_line(tmp_path, capsys, body, message):
     table = tmp_path / "t.csv"
     table.write_text("spec,one\n" + body, encoding="utf-8")
     assert main(["regress", str(table)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {table}: {message}")
+
+
+def test_regress_refuses_a_label_backtest_never_writes(tmp_path, capsys):
+    # without the 20,95%% row the table fits; a label is read only as backtest writes it, so nothing is fitted
+    labels = ["10,90%", "20,90%", "20,95%%", "50,90%", "100,95%", "250,99%"]
+    lines = ["spec,one"] + [f'"{label}",{0.01 * i:+.6f}' for i, label in enumerate(labels)]
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["regress", str(table)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {table}: line 4: invalid spec label '20,95%%', expected e.g. '250,95%'\n"
 
 
 def test_axioms_output(capsys):

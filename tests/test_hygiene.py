@@ -6,7 +6,8 @@ function rebinds module state other than the names in ``GLOBALS``, which are non
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
 files in one place, the loop of ``_read_panel``, so no file is read twice, and
-makes returns in that loop and in ``to_returns`` alone, one file at a time; a
+makes returns in that loop and in ``to_returns`` alone, one file at a time, and
+keeps date objects made from a date column's text in ``_Dates``' builder alone; a
 backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``.
 """
 
@@ -217,6 +218,15 @@ def test_ingestion_makes_returns_in_two_places():
     # the panel reader converts each file alone, so no group of files is batched beside backtest's rank stacks
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_returns") == [
         "_read_panel/for", "to_returns",
+    ]
+
+
+def test_ingestion_keeps_dates_of_column_text_in_one_place():
+    # a plain file's dates stay its checked date column; only _Dates' builder turns that text into kept
+    # dates, on first use, so no reader path builds a calendar of dates again.  _parse_plain converts a
+    # chunk's cells off the calendar only to check them, and the row loop builds its dates record by record
+    assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "dt") == [
+        "_built", "_parse_plain/while", "_row_loop/for",
     ]
 
 

@@ -1,6 +1,9 @@
 import collections
+import collections.abc
+import copy
 import datetime as dt
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,11 +15,14 @@ import histrisk.backtest
 import histrisk.ingestion
 from histrisk import (
     InputError,
+    Level,
     PriceSeries,
     ReturnMethod,
     ReturnSeries,
+    RiskSpec,
     parse_prices,
     parse_returns,
+    rolling_var_forecasts,
     to_returns,
 )
 from histrisk.ingestion import _read_panel, _row_loop
@@ -212,6 +218,66 @@ def test_return_series_has_one_definition():
     assert histrisk.ReturnSeries is histrisk.backtest.ReturnSeries is histrisk.ingestion.ReturnSeries
 
 
+DAYS = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 6))
+DAYS_TEXT = "date,price\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-06,3.0\n"
+
+
+@pytest.fixture(params=["parsed", "given"])
+def dates(request):
+    """The dates of a series on ``DAYS``: read from a plain file, so kept as text, or given as objects."""
+    if request.param == "parsed":
+        dates = parse_prices(DAYS_TEXT, "x").dates
+        assert dates._dates is None  # the read built no date
+        return dates
+    return PriceSeries("x", list(DAYS), np.array([1.0, 2.0, 3.0])).dates
+
+
+def test_dates_compare_as_their_tuple(dates):
+    # equal to the equal tuple from either side, and unequal to a list, as the tuple is
+    assert dates == DAYS and DAYS == dates and not dates != DAYS and not DAYS != dates
+    assert dates != list(DAYS) and list(DAYS) != dates and not dates == list(DAYS)
+    assert dates != DAYS[:2] and DAYS[1:] != dates
+    assert dates == parse_prices(DAYS_TEXT, "y").dates and parse_prices(DAYS_TEXT, "y").dates == dates
+    assert dates != dates.tail and dates.tail == DAYS[1:]
+    assert hash(dates) == hash(DAYS) and repr(dates) == repr(DAYS)
+    assert {dates: 1}[DAYS] == 1
+
+
+def test_dates_read_as_their_tuple(dates):
+    assert len(dates) == 3 and list(dates) == list(DAYS) and tuple(dates) == DAYS
+    assert dates[0] == DAYS[0] and dates[-1] == DAYS[-1] and dates[1] is dates[1]
+    assert dates[1:] == DAYS[1:] and type(dates[1:]) is tuple and type(dates[:]) is tuple
+    assert DAYS[2] in dates and dt.date(2020, 1, 3) not in dates and dates.index(DAYS[1]) == 1
+    assert isinstance(dates, collections.abc.Sequence) and not isinstance(dates, tuple)
+    with pytest.raises(IndexError):
+        dates[3]
+    with pytest.raises((AttributeError, TypeError)):
+        dates[0] = DAYS[1]
+
+
+def test_dates_tail_is_one_object(dates):
+    # the dates of the returns of prices on these dates: the same object on every call, shared by to_returns
+    assert dates.tail is dates.tail and dates.tail == DAYS[1:] and len(dates.tail) == 2
+    assert dates.tail.tail == DAYS[2:] and len(dates.tail.tail.tail) == 0
+    prices = PriceSeries("x", dates, np.array([1.0, 2.0, 3.0]))
+    assert prices.dates is dates and to_returns(prices).dates is dates.tail
+
+
+def test_dates_copy_and_pickle(dates):
+    for copied in (copy.deepcopy(dates), copy.copy(dates), pickle.loads(pickle.dumps(dates))):
+        assert type(copied) is type(dates) and copied == DAYS and copied.tail == DAYS[1:]
+    assert pickle.loads(pickle.dumps(dates.tail)) == DAYS[1:]
+
+
+def test_rolling_var_forecasts_date_a_parsed_series():
+    # the one library call that reads dates builds them on first use, as dt.date objects
+    days = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(13)]
+    series = parse_returns("date,return\n" + "".join(f"{day},{i / 100}\n" for i, day in enumerate(days)), "x")
+    forecasts = rolling_var_forecasts(series, RiskSpec(10, Level(0.9)))
+    assert [day for day, _ in forecasts] == days[10:]
+    assert all(type(day) is dt.date for day, _ in forecasts)
+
+
 def _peak_bytes(parse, text):
     tracemalloc.start()
     try:
@@ -253,7 +319,7 @@ def _read_universe(monkeypatch, texts):
 
 
 def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
-    # 1,000 price files on one 301-day calendar hold one dates tuple and one
+    # 1,000 price files on one 301-day calendar hold one dates object and one
     # tail between them; each date object alone would cost 32 bytes per row
     tracemalloc.start()
     try:

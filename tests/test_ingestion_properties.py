@@ -117,7 +117,7 @@ def _fast(text, column):
     The fast path takes only what the series type accepts, so building the series raises nothing.
     """
     plain = _parse_plain(text, column, _NO_CALENDAR)
-    return None if plain is None else PARSERS[column][1]("x", plain[0].dates, plain[1])
+    return None if plain is None else PARSERS[column][1]("x", *plain)
 
 
 PLAIN = "date,price\n2010-01-04,100.0\n2010-01-05,101.5\n"
@@ -273,8 +273,33 @@ def _assert_panel_matches_alone(column, texts, method):
     return series
 
 
+def _iso(*days):
+    """The texts of return files, one on each tuple of ISO ``days`` (valid or not), with values 1, 2, ..."""
+    return [_text("return", file_days, range(1, len(file_days) + 1)) for file_days in days]
+
+
+CALENDAR = ("2019-02-26", "2019-02-27", "2019-02-28", "2019-03-01")
+
+# Off the calendar, the date cells are checked on their text, chunk by chunk; 12 characters make one line a
+# chunk, so each check below falls at a chunk boundary: a repeated date, a date out of order right after a
+# partial calendar hit, and dates fromisoformat refuses in a later chunk.
+TEXT_CHECKS = {
+    "repeat-across-chunks": _iso(("2019-02-26", "2019-02-27", "2019-02-27", "2019-02-28")),
+    "repeat-after-partial-hit": _iso(CALENDAR, CALENDAR[:2] + ("2019-02-27", "2019-03-02")),
+    "earlier-after-partial-hit": _iso(CALENDAR, CALENDAR[:3] + ("2019-02-01",)),
+    "feb-29-in-later-chunk": _iso(CALENDAR, CALENDAR[:3] + ("2019-02-29",)),
+    "year-0-in-later-chunk": _iso(("2019-02-26", "2019-02-27", "0000-01-01")),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(calendar_files(), st.integers(12, 80), st.sampled_from(ReturnMethod))
+@example(("return", TEXT_CHECKS["repeat-across-chunks"]), 12, ReturnMethod.SIMPLE)
+@example(("return", TEXT_CHECKS["repeat-after-partial-hit"]), 12, ReturnMethod.SIMPLE)
+@example(("return", TEXT_CHECKS["earlier-after-partial-hit"]), 12, ReturnMethod.SIMPLE)
+@example(("return", TEXT_CHECKS["earlier-after-partial-hit"]), 40, ReturnMethod.SIMPLE)
+@example(("return", TEXT_CHECKS["feb-29-in-later-chunk"]), 12, ReturnMethod.SIMPLE)
+@example(("return", TEXT_CHECKS["year-0-in-later-chunk"]), 12, ReturnMethod.SIMPLE)
 def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
     # small chunks end a calendar match mid-file, in any chunk
     column, texts = panel
@@ -287,16 +312,16 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
                 assert _parse_plain(text, column, calendar) is None
                 continue
             read, values = _parse_plain(text, column, calendar)
-            assert (read.dates, values.tolist()) == outcome
-            if read.dates == calendar.dates:
+            assert (read, values.tolist()) == outcome
+            if read == calendar:
                 assert read is calendar
-            assert read.column == ",".join(map(dt.date.isoformat, read.dates))
-            assert read.dates.tail == read.dates[1:]
-            if column == "price" and len(read.dates) > 1:
-                assert to_returns(PriceSeries("x", read.dates, values)).dates is read.dates.tail
+            assert read._column == ",".join(map(dt.date.isoformat, read))
+            assert read.tail == read[1:]
+            if column == "price" and len(read) > 1:
+                assert to_returns(PriceSeries("x", read, values)).dates is read.tail
             calendar = read
         series = _assert_panel_matches_alone(column, texts, method)
-    # consecutive series on one calendar hold one dates tuple: a price file's returns, its tail
+    # consecutive series on one calendar hold one dates object: a price file's returns, its tail
     for first, second in zip(series or (), (series or ())[1:]):
         if first.dates == second.dates:
             assert first.dates is second.dates
@@ -371,6 +396,38 @@ def test_read_text_matches_path_read_text(runs):
                 ingestion._read_text(path)
         else:
             assert ingestion._read_text(path) == expected
+
+
+@pytest.mark.parametrize("case, message", [
+    ("repeat-across-chunks", "line 4: date 2019-02-27 must be after the preceding date 2019-02-27"),
+    ("repeat-after-partial-hit", "line 4: date 2019-02-27 must be after the preceding date 2019-02-27"),
+    ("earlier-after-partial-hit", "line 5: date 2019-02-01 must be after the preceding date 2019-02-28"),
+    ("feb-29-in-later-chunk", "line 5: invalid ISO date '2019-02-29'"),
+    ("year-0-in-later-chunk", "line 4: invalid ISO date '0000-01-01'"),
+])
+def test_text_date_checks_leave_the_row_loop_message(monkeypatch, case, message):
+    # the fast path turns each last file away without building a date of the calendar it partly matched
+    # (nor of its own dates), and the row loop, alone, names the line
+    monkeypatch.setattr(ingestion, "_CHUNK_CHARS", 12)
+    *before, text = TEXT_CHECKS[case]
+    calendar = _NO_CALENDAR
+    for earlier in before:
+        calendar, _ = _parse_plain(earlier, "return", calendar)
+    assert _parse_plain(text, "return", calendar) is None
+    assert calendar._dates is None or calendar is _NO_CALENDAR
+    with pytest.raises(InputError, match=f"^x: {re.escape(message)}$"):
+        parse_returns(text, "x")
+
+
+def test_partial_calendar_hit_builds_no_dates(monkeypatch):
+    # a file that leaves the calendar after its first dates neither copies nor builds the calendar's dates
+    monkeypatch.setattr(ingestion, "_CHUNK_CHARS", 12)
+    first, second = _iso(CALENDAR, CALENDAR[:2] + ("2019-03-05", "2019-03-06"))
+    calendar, _ = _parse_plain(first, "return", _NO_CALENDAR)
+    read, _ = _parse_plain(second, "return", calendar)
+    assert calendar._dates is None and read._dates is None
+    assert read._column == "2019-02-26,2019-02-27,2019-03-05,2019-03-06"
+    assert read == tuple(map(dt.date.fromisoformat, CALENDAR[:2] + ("2019-03-05", "2019-03-06")))
 
 
 def test_shared_calendar_keeps_the_date_prefix_check():
