@@ -33,13 +33,19 @@ per strictness serves every duration: it compares each day's return with its
 lags 1, 2, ..., hi once, adds the compares up lag by lag into the day's rank,
 and histograms the ranks of duration n once lag n is in.
 
-The pass ranks a stack of series at once.  ``run_suite`` stacks runs of
-consecutive equal-length series, up to ``_CHUNK_ELEMS // 16`` returns (32 KiB)
-a stack, as the columns of one block, so a day's returns are one row and lag j
-of every series is the row j days up; longer series are one-column stacks,
-viewed in place.  Each column's ranks are offset by the column times hi + 1, so
-one ``bincount`` per duration histograms every series of the stack.  The rows
-of a stack are emitted before the next stack is ranked.
+The pass ranks a stack of series at once.  ``run_suite`` takes its input once,
+as it arrives, and stacks runs of consecutive equal-length series, in that
+order, up to ``_CHUNK_ELEMS // 16`` returns (32 KiB) a stack, as the columns of
+one block, so a day's returns are one row and lag j of every series is the row
+j days up; longer series are one-column stacks, viewed in place.  Each column's
+ranks are offset by the column times hi + 1, so one ``bincount`` per duration
+histograms every series of the stack.  A full stack is scored before the next
+series is taken, and dropped before the next stack is read, so a suite holds
+one stack of series, not its whole input: fed by the panel reader, a
+``backtest`` of 1,000 files holds about 31 KiB of returns, not 2.4 MB.  A rank
+count is an exact integer whatever the other columns of its stack hold, so the
+order the series arrive in changes the number of passes, never a count; the
+rows are sorted by asset id once every stack is scored.
 
 The pass works in tiles of at most ``_CHUNK_ELEMS`` compares (up to 255 lags
 by up to 2,048 cells, a cell being one day of one series), so its scratch does
@@ -56,7 +62,9 @@ long.  The budgets the tests hold, under tracemalloc: one ``run_suite`` over a
 5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB (measured
 143 KiB; the TCE side alone peaks at 132 KiB, below, and the rank pass at 123
 KiB), and one over 1,000 series of 300 returns at 250:0.99 peaks no more than
-192 KiB above the report it returns (measured 165 KiB, with a 13-series stack).
+192 KiB above the report it returns (measured 165 KiB, with a 13-series stack),
+and no more than 256 KiB when the panel reader feeds it 1,000 such price files
+(measured 187 KiB; holding the series would add 2.4 MB).
 ``rolling_var_forecasts`` partitions day chunks of the same windows, a float
 copy of at most 512 KiB.
 
@@ -80,7 +88,6 @@ two live tables would break the budget.
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -297,14 +304,25 @@ def _rank_passes(stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]) -> di
     return counts
 
 
-def _stacks(series_list: Sequence[ReturnSeries]) -> Iterator[Sequence[ReturnSeries]]:
-    """Runs of consecutive equal-length series, in order, each of at most
-    ``_CHUNK_ELEMS // 16`` returns unless it is a single series."""
-    for size, same in itertools.groupby(series_list, key=len):
-        run = list(same)
-        per_stack = max(1, _CHUNK_ELEMS // 16 // size)
-        for start in range(0, len(run), per_stack):
-            yield run[start:start + per_stack]
+def _stacks(series_set: Iterable[ReturnSeries]) -> Iterator[list[ReturnSeries]]:
+    """Runs of consecutive equal-length series, in the order they arrive, each of at most
+    ``_CHUNK_ELEMS // 16`` returns unless it is a single series.
+
+    A full stack is yielded before the next series is taken, and once the caller asks for the next stack
+    nothing here holds the last one.
+    """
+    stack: list[ReturnSeries] = []
+    for series in series_set:
+        if stack and len(series) != len(stack[0]):
+            yield stack
+            stack = []
+        stack.append(series)
+        del series  # the stack alone holds it
+        if len(stack) == max(1, _CHUNK_ELEMS // 16 // len(stack[0])):
+            yield stack
+            stack = []
+    if stack:
+        yield stack
 
 
 class _Skip(InputError):
@@ -457,26 +475,26 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     Rows come back sorted (asset id, then duration, then level) regardless of
     input order, so rendered tables are deterministic.  A pair a backtest
     cannot score is recorded as a SkippedPair instead of failing the suite.
+
+    ``series_set`` may be any iterable, and is consumed once: the series are
+    scored a stack at a time as they arrive, and none is kept, so a generator
+    such as the panel reader is never held whole.  The checks run in this
+    order: the specs first (at least one, and labels that name them alone),
+    before any series is taken; then, after the pass, at least one series and
+    no repeated asset id.
     """
-    series_list = list(series_set)
-    if not series_list:
-        raise InputError("at least one return series is required")
-    ids = [s.asset_id for s in series_list]
-    _reject_repeats(ids, "asset ids")
     spec_list = list(dict.fromkeys(specs))
     if not spec_list:
         raise InputError("at least one risk spec is required")
-
-    series_list.sort(key=lambda s: s.asset_id)
     spec_list.sort(key=lambda sp: (sp.duration_n, sp.level.alpha, sp.conv.value, sp.strict_violation))
-
     _check_labels(spec_list)
 
     ks = [quantile_index(spec.duration_n, spec.level, spec.conv) for spec in spec_list]
+    ids: list[str] = []
     var_rows: list[VarBacktestRow] = []
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
-    for stack in _stacks(series_list):
+    for stack in _stacks(series_set):
         # every series of a stack has one length, so the length skips and the VaR rows are the stack's, per spec
         size = len(stack[0])
         counts = _rank_passes(stack, spec_list)
@@ -489,6 +507,7 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
         del counts  # not alive through the TCE tables or the next stack's rank pass
         for column, series in enumerate(stack):
             asset_id = series.asset_id
+            ids.append(asset_id)
             for n, same_n in by_duration.items():
                 table = None  # built by the first TCE pair that needs it
                 for spec, k, var_skip, stack_rows, tce_skip in same_n:
@@ -506,6 +525,13 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
                     except _Skip as skip:
                         skips.append(SkippedPair(asset_id, spec, "tce", str(skip)))
                 del table  # not alive through the next table or the next stack's rank pass
+        del stack, series  # not alive while the next stack is read
+    if not ids:
+        raise InputError("at least one return series is required")
+    _reject_repeats(ids, "asset ids")
+    # each asset's rows are contiguous and in spec order, so a stable sort by asset id gives the sorted tables
+    for rows in (var_rows, tce_rows, skips):
+        rows.sort(key=lambda row: row.asset_id)
     return SuiteReport(
         asset_ids=tuple(sorted(ids)),
         specs=tuple(spec_list),

@@ -236,15 +236,12 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
             path.name.encode("utf-8")
         except UnicodeEncodeError:
             raise InputError(f"{_shown(path)}: file name is not valid UTF-8") from None
-    series = _read_panel(paths, ReturnMethod(args.method) if args.prices else None)
-    # only the names' one line lives on: on universe_screen, the 1,000 Paths alive through run_suite
-    # raised the peak RSS by 0.2-0.4 MB, and a list of their names by 0.08-0.12 MB
+    # the reader holds the Paths to its last read; only the names' one line outlives it (with every series
+    # read first, the 1,000 Paths alive through run_suite raised universe_screen's peak RSS by 0.2-0.4 MB,
+    # and a list of their names by 0.08-0.12 MB)
     inputs = _input_names(paths)
+    report = run_suite(_read_panel(paths, ReturnMethod(args.method) if args.prices else None), specs)
     del paths
-    report = run_suite(series, specs)
-    # the report holds no series: freed here, their returns' memory serves the render. With the 1,000 series
-    # alive through it, universe_screen's peak RSS read 0.07-0.17 MB higher (four checkout paths)
-    del series
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,18 +35,22 @@ from that text on first use (a backtest reads no date, so it builds none);
 that builder is the one place the column text becomes kept date objects.
 ``_check_series`` trusts the type, and the ``tail`` of one, the dates of the
 returns formed from prices on it, is the same text one date on, not walked or
-copied.  So dates are walked once, whatever number of series hold them.
+copied.  So dates are walked once, whatever number of series hold them.  Dates
+with a tail build only their first date and take the tail's objects for the
+rest, and a tail taken once its dates are built is a slice of their tuple, so
+prices and their returns share each date object whichever is read first.
 
-``_read_panel`` reads the files of one backtest, in the order given, and owns
-their calendar for that one read: the ``_Dates`` of the last plain file it
-read.  Each chunk's date cells, joined the same way, are compared with the
-calendar's text at the same offset, and no date object is built while they
-match; a whole match returns the calendar itself, so every series on it holds
-the same dates and, for returns of prices, the same tail.  From the first chunk
-that differs, each chunk's cells are converted to check them and the objects
-dropped, and the order is checked on the text, the boundary with the last
-matched date included: once the prefix regex and the conversion have passed
-them, fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
+``_read_panel`` reads the files of one backtest, in the order given, yielding
+each file's series as soon as it is converted, and owns their calendar for
+that one read: the ``_Dates`` of the last plain file it read.  Each chunk's
+date cells, joined the same way, are compared with the calendar's text at the
+same offset, and no date object is built while they match; a whole match
+returns the calendar itself, so every series on it holds the same dates and,
+for returns of prices, the same tail.  From the first chunk that differs, each
+chunk's cells are converted to check them and the objects dropped, and the
+order is checked on the text, the boundary with the last matched date
+included: once the prefix regex and the conversion have passed them,
+fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
 column then becomes the calendar; if only its first date differs, it takes the
 old calendar's tail, found by comparing the text after the first date, so
 returns of prices on either hold one dates object.
@@ -61,8 +65,10 @@ file the fast path turns away, or a single price, goes alone from the text
 already read through ``parse_prices`` and ``to_returns`` or
 ``parse_returns``.  Each file is read once, so an input can be a pipe or a
 FIFO, and no file is read after the first bad one, which raises the error it
-raises alone.  The public
-functions share no calendar between calls.  A calendar hit relies on the
+raises alone.  The reader holds no series, no returns and no text of a file
+once it has yielded that file's series, so a caller that scores and drops the
+series as they come, as ``run_suite`` does, never holds the whole panel.  The
+public functions share no calendar between calls.  A calendar hit relies on the
 line-prefix regex below:
 ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n`` has as many commas as newlines
 and even cells equal to the calendar 2020-01-01, 2020-01-02, and only the regex
@@ -147,18 +153,27 @@ class _Dates(Sequence):
         return made
 
     def _built(self) -> tuple[dt.date, ...]:
-        """The tuple of these dates, built from the column text on first use."""
+        """The tuple of these dates, built from the column text on first use.
+
+        Dates with a tail build only their first date and take the tail's objects for the rest, so prices and
+        their returns share each date object whichever is read first.  The tail holds no link back: with the
+        parent's cached ``_tail`` that would be a reference cycle, freed only by the cyclic collector.
+        """
         if self._dates is None:
-            column = self._column
+            column, tail = self._column, self._tail
             cells = range(11 * self._offset, len(column), 11)
-            self._dates = tuple(dt.date.fromisoformat(column[i:i + 10]) for i in cells)
+            head = tuple(dt.date.fromisoformat(column[i:i + 10]) for i in (cells if tail is None else cells[:1]))
+            self._dates = head if tail is None else head + tail._built()
         return self._dates
 
     @property
     def tail(self) -> _Dates:
-        """These dates less the first, the dates of returns of prices on them; the same object on every call."""
+        """These dates less the first, the dates of returns of prices on them; the same object on every call.
+
+        Once these dates' tuple is built the tail is a slice of it, else the same column text one date on.
+        """
         if self._tail is None:
-            if self._column is None:
+            if self._dates is not None:
                 self._tail = _Dates._of(None, 0, self._dates[1:])
             else:
                 self._tail = _Dates._of(self._column, self._offset + 1)
@@ -349,27 +364,31 @@ def _read_alone(text: str, asset_id: str, method: ReturnMethod | None) -> Return
     return to_returns(parse_prices(text, asset_id), method)
 
 
-def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> list[ReturnSeries]:
-    """The return series of the files at ``paths``, in order: of prices by ``method``, or of returns when it is None.
+def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> Iterator[ReturnSeries]:
+    """Yield the return series of the files at ``paths``, in order: of prices by ``method``, or of returns when
+    it is None.
 
     Two paths with one stem are refused before any file is read.  Each file is read once, and converted and
     checked before the next is read, so each series is the one its file alone gives, and the first bad file
-    raises the error it raises alone.
+    raises the error it raises alone.  A series is yielded as soon as its file is converted, and nothing here
+    holds it, its returns or its file's text while the next file is read: the caller decides what lives on.
     """
     _reject_repeats((path.stem for path in paths), "asset ids")
     value_column = "return" if method is None else "price"
-    series: list[ReturnSeries] = []
     calendar = _NO_CALENDAR
     for path in paths:
-        # dropped before the next read, so two texts are never held at once: with both, tick_ties'
-        # peak RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
-        text = None
+        # the text and its parse are dropped before the yield, so two texts are never held at once: with both,
+        # tick_ties' peak RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB;
+        # and no name here holds a yielded series or its returns while the next file is read
         text = _read_text(path)
         plain = _parse_plain(text, value_column, calendar)
         # a single price forms no return: to_returns raises its error
         if plain is None or method is not None and plain[1].size < 2:
-            series.append(_read_alone(text, path.stem, method))
+            alone, text, plain = _read_alone(text, path.stem, method), None, None
+            yield alone
+            del alone
             continue
+        text = None
         calendar, values = plain
         del plain  # so the prices are freed once their returns are made
         dates = calendar
@@ -377,8 +396,8 @@ def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> list[Retu
             values, dates = _returns(values, method), dates.tail
         values.flags.writeable = False  # so the series holds this array, not a copy of it
         # an asset id that spans lines, or a non-finite return, fails here with the message the file gives alone
-        series.append(ReturnSeries(path.stem, dates, values))
-    return series
+        yield ReturnSeries(path.stem, dates, values)
+        del values, dates
 
 
 def _csv_records(text: str, source: str) -> Iterator[tuple[int, list[str]]]:

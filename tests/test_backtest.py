@@ -559,6 +559,51 @@ def test_run_suite_scratch_does_not_grow_with_the_series_count():
     assert peak - kept <= 192 * 1024, f"run_suite peaked {(peak - kept) / 1024:.1f} KiB above its report"
 
 
+def test_run_suite_holds_one_stack_of_a_streamed_panel(monkeypatch, universe_texts):
+    # fed by the panel reader, run_suite takes 1,000 price files of 301 days a stack of 13 series at a time and
+    # drops each stack once it is scored, so its peak above the report stays near one stack's scratch (measured
+    # 187 KiB); holding every series, 2.4 KB of returns each, would add 2.4 MB
+    monkeypatch.setattr(ingestion, "_read_text", lambda path: universe_texts[path.name])
+    paths = list(map(Path, universe_texts))
+    specs = [RiskSpec(250, Level(0.99))]
+    run_suite(ingestion._read_panel(paths, ingestion.ReturnMethod.LOG), specs)
+    tracemalloc.start()
+    try:
+        report = run_suite(ingestion._read_panel(paths, ingestion.ReturnMethod.LOG), specs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.var_rows) == 1000
+    assert peak - kept <= 256 * 1024, f"run_suite peaked {(peak - kept) / 1024:.1f} KiB above its report"
+
+
+def test_run_suite_frees_each_stack_before_the_next_read(monkeypatch):
+    # two 5,000-return files are two one-column stacks: the first series is scored and dropped before the
+    # second file is read, so nothing holds it, its returns or its text through that read
+    start = dt.date(1990, 1, 1).toordinal()
+    rng = np.random.default_rng(61)
+    texts = {}
+    for name in ("a.csv", "b.csv"):
+        values = rng.normal(0, 0.01, 5000).tolist()
+        texts[name] = "date,return\n" + "".join(f"{dt.date.fromordinal(start + i)},{v!r}\n" for i, v in enumerate(values))
+    refs, alive = [], []
+    rank_passes = backtest._rank_passes
+
+    def ranked(stack, specs):
+        refs.extend(weakref.ref(series) for series in stack)
+        return rank_passes(stack, specs)
+
+    def read_text(path):
+        alive.append((path.name, [ref() is not None for ref in refs]))
+        return texts[path.name]
+
+    monkeypatch.setattr(backtest, "_rank_passes", ranked)
+    monkeypatch.setattr(ingestion, "_read_text", read_text)
+    report = run_suite(ingestion._read_panel([Path("a.csv"), Path("b.csv")], None), [RiskSpec(250, Level(0.99))])
+    assert alive == [("a.csv", []), ("b.csv", [False])]
+    assert report.asset_ids == ("a", "b") and len(report.var_rows) == len(report.tce_rows) == 2
+
+
 def test_read_panel_keeps_no_built_dates(monkeypatch):
     # two 20,000-line return files on one calendar: their series hold one date column as text, 11 bytes a
     # day, beside 16 bytes a day of returns; the dates and their tuple, about 40 bytes a day, are built
@@ -569,7 +614,7 @@ def test_read_panel_keeps_no_built_dates(monkeypatch):
     monkeypatch.setattr(ingestion, "_read_text", lambda path: texts[path.name])
     tracemalloc.start()
     try:
-        series = ingestion._read_panel([Path("a.csv"), Path("b.csv")], None)
+        series = list(ingestion._read_panel([Path("a.csv"), Path("b.csv")], None))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -604,9 +649,9 @@ def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
     monkeypatch.setattr(backtest, "_tce_blocks", alone(counted))
     monkeypatch.setattr(backtest, "_rank_passes", alone(ranked))
     rng = np.random.default_rng(59)
-    # a41, a41b and a41c share one stack, and so one rank pass
+    # a41, a41b and a41c arrive one after another, so they share one stack, and so one rank pass
     series = [make_series(rng.normal(size=size), asset=f"a{size}") for size in (3, 9, 10, 19, 20, 41, 120)]
-    series += [make_series(rng.normal(size=41), asset=asset) for asset in ("a41b", "a41c")]
+    series[6:6] = [make_series(rng.normal(size=41), asset=asset) for asset in ("a41b", "a41c")]
     durations = (2, 5, 10, 20, 50)
     expected = sorted((s.asset_id, n) for s in series for n in durations if 2 * n <= len(s))
     for conv in (LARGEST, SMALLEST):

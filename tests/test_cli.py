@@ -483,6 +483,25 @@ def test_backtest_duplicate_asset_stems_read_no_file(tmp_path, monkeypatch, caps
     assert (rc, capsys.readouterr().err, read) == (1, "error: duplicate asset ids: a\n", [])
 
 
+def test_backtest_refuses_specs_sharing_a_label_before_any_read(tmp_path, monkeypatch, capsys):
+    # the suite checks its specs before it takes the first series, so a missing input is never reached
+    read, read_text = [], histrisk.ingestion._read_text
+
+    def recorded(path):
+        read.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    rc = main([
+        "backtest", "--returns", str(tmp_path / "absent.csv"),
+        "--spec", "20:0.95", "--spec", "20:0.950000000001", "--out", str(tmp_path / "o"),
+    ])
+    err = capsys.readouterr().err
+    assert (rc, read) == (1, [])
+    assert err.startswith("error: specs RiskSpec(") and err.endswith(" share the report label '20,95%'\n")
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
 def write_error_table(path, assets, model):
     specs = [(10, 90), (20, 90), (20, 95), (50, 90), (100, 90), (100, 95),
              (100, 99), (250, 90), (250, 95), (250, 99), (500, 90), (500, 95), (500, 99)]

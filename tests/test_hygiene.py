@@ -8,7 +8,9 @@ and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
 files in one place, the loop of ``_read_panel``, so no file is read twice, and
 makes returns in that loop and in ``to_returns`` alone, one file at a time, and
 keeps date objects made from a date column's text in ``_Dates``' builder alone; a
-backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``.
+backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
+the panel reader only as the argument of ``run_suite``, which never passes its
+input to ``list``, ``sorted`` or ``tuple``, so no backtest holds its whole panel.
 """
 
 import ast
@@ -237,3 +239,66 @@ def test_backtest_builds_each_input_path_once():
         "_cmd_backtest", "_cmd_backtest", "_read_error_table",
     ]
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "Path") == []
+
+
+def call_arguments_of(source: str, name: str) -> list[str]:
+    """For each use of ``name`` in source order, the function whose call takes a call of ``name`` as a direct
+    argument, else ""."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            call, outer = parents[node], parents.get(parents[node])
+            inside = (
+                isinstance(call, ast.Call) and call.func is node
+                and isinstance(outer, ast.Call) and call in outer.args and isinstance(outer.func, ast.Name)
+            )
+            found.append(((node.lineno, node.col_offset), outer.func.id if inside else ""))
+    return [caller for _, caller in sorted(found)]
+
+
+def test_call_arguments_of_finds_direct_arguments_only():
+    source = (
+        "run(read(a), b)\n"
+        "x = read(a)\n"
+        "run(f(read(a)))\n"
+        "run(read)\n"
+    )
+    assert call_arguments_of(source, "read") == ["run", "", "f", ""]
+
+
+def test_backtest_streams_the_panel_into_the_suite():
+    # the panel reader yields each series as its file is converted; called anywhere but as run_suite's
+    # argument, a backtest could hold every series it read again
+    assert call_arguments_of((SRC / "cli.py").read_text(encoding="utf-8"), "_read_panel") == ["run_suite"]
+
+
+def materialised(source: str, function: str) -> list[str]:
+    """The calls to ``list``, ``sorted`` or ``tuple`` in ``function`` that take its first parameter."""
+    node = next(
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    given = node.args.args[0].arg
+    return [
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in ("list", "sorted", "tuple")
+        and any(isinstance(arg, ast.Name) and arg.id == given for arg in call.args)
+    ]
+
+
+def test_materialised_finds_calls_on_the_first_parameter():
+    source = (
+        "def f(items, other):\n"
+        "    a = list(items)\n"
+        "    b = sorted(other)\n"
+        "    return tuple(items), list(x for x in items)\n"
+    )
+    assert materialised(source, "f") == ["list", "tuple"]
+
+
+@pytest.mark.parametrize("function", ["run_suite", "_stacks"])
+def test_suite_never_materialises_its_input(function):
+    # run_suite takes its series once, a stack at a time, through _stacks; a list of them would hold the panel
+    assert materialised((SRC / "backtest.py").read_text(encoding="utf-8"), function) == []

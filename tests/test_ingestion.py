@@ -263,6 +263,26 @@ def test_dates_tail_is_one_object(dates):
     assert prices.dates is dates and to_returns(prices).dates is dates.tail
 
 
+@pytest.mark.parametrize("first", ["prices", "returns"])
+def test_returns_share_their_prices_date_objects(first):
+    # whichever series reads its dates first, prices and their returns hold one object per day
+    prices = parse_prices(DAYS_TEXT, "x")
+    returns = to_returns(prices)
+    if first == "prices":
+        assert prices.dates[1] is returns.dates[0]
+    else:
+        assert returns.dates[0] is prices.dates[1]
+    assert all(day is other for day, other in zip(prices.dates[1:], returns.dates))
+    assert returns.dates == DAYS[1:] and prices.dates == DAYS
+
+
+def test_tail_of_read_dates_is_their_slice(dates):
+    # a tail first taken after its dates were read is a slice of their tuple: no date is built twice
+    dates[0]
+    assert all(day is other for day, other in zip(dates[1:], dates.tail)) and dates.tail == DAYS[1:]
+    assert dates.tail.tail[0] is dates[2]
+
+
 def test_dates_copy_and_pickle(dates):
     for copied in (copy.deepcopy(dates), copy.copy(dates), pickle.loads(pickle.dumps(dates))):
         assert type(copied) is type(dates) and copied == DAYS and copied.tail == DAYS[1:]
@@ -301,21 +321,9 @@ def test_fast_path_peak_memory_within_row_loop():
     assert public <= row_loop
 
 
-@pytest.fixture(scope="module")
-def universe_texts():
-    """1,000 price files on one 301-day calendar, by file name."""
-    rng = np.random.default_rng(34)
-    days = [(dt.date(2001, 1, 1) + dt.timedelta(days=i)).isoformat() for i in range(301)]
-    prices = rng.uniform(20.0, 200.0, (1_000, 301)).tolist()
-    return {
-        f"a{i}.csv": "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(days, row))
-        for i, row in enumerate(prices)
-    }
-
-
 def _read_universe(monkeypatch, texts):
     monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
-    return _read_panel(list(map(Path, texts)), ReturnMethod.LOG)
+    return list(_read_panel(list(map(Path, texts)), ReturnMethod.LOG))
 
 
 def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
@@ -401,10 +409,10 @@ def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, m
     monkeypatch.setattr(histrisk.ingestion, "_read_text", counted)
     paths = [tmp_path / f"{name}.csv" for name in files]
     if message is None:
-        assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == list(files)
+        assert [series.asset_id for series in list(_read_panel(paths, ReturnMethod.LOG))] == list(files)
     else:
         with pytest.raises((InputError, OSError), match=message):
-            _read_panel(paths, ReturnMethod.LOG)
+            list(_read_panel(paths, ReturnMethod.LOG))
     assert reads == collections.Counter(files[:read])
 
 
@@ -420,5 +428,5 @@ def test_panel_reader_reads_the_paths_it_is_given(tmp_path, monkeypatch):
         return read_text(path)
 
     monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
-    assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == ["a", "quoted", "b"]
+    assert [series.asset_id for series in list(_read_panel(paths, ReturnMethod.LOG))] == ["a", "quoted", "b"]
     assert len(read) == len(paths) and all(seen is given for seen, given in zip(read, paths))

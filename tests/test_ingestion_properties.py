@@ -256,7 +256,7 @@ def _panel(column, texts, method):
 
     with mock.patch.object(ingestion, "_read_text", read_text):
         try:
-            return _read_panel(list(map(Path, _names(texts))), method if column == "price" else None), None
+            return list(_read_panel(list(map(Path, _names(texts))), method if column == "price" else None)), None
         except (InputError, csv.Error) as exc:
             return None, (type(exc).__name__, str(exc))
 
