@@ -27,6 +27,14 @@ and writes every line-numbered value message.  Quoted or padded cells, a padded
 header, blank lines and raw carriage returns take it, and so does every file
 whose values or dates a series type refuses.
 
+Text becomes a series one way.  ``_parse`` is the fast path, else the row
+loop, and the only caller of either; each gives a ``_Dates`` and a read-only
+float64 array, which a series holds as it is, not a copy.  ``parse_prices``
+and ``parse_returns`` wrap that pair in their series type.  ``_returns`` is
+the one maker of returns from checked prices, for ``to_returns`` and the panel
+reader alike: it checks the asset id, then that there are at least 2 prices, and takes
+the ratio or its log as one read-only array on the prices' dates' ``tail``.
+
 The dates a series holds are a ``_Dates``, a read-only sequence of strictly
 increasing dates.  Dates given as objects are walked once, when constructed,
 and kept as a tuple.  Dates read from a plain file are kept as its checked date
@@ -55,15 +63,15 @@ column then becomes the calendar; if only its first date differs, it takes the
 old calendar's tail, found by comparing the text after the first date, so
 returns of prices on either hold one dates object.
 Two paths with one stem, which would give one asset id, are refused before the
-first read.  Each file is converted and checked before the next is read: a
-plain file's prices get their ratio and log (``_returns``, which ``to_returns``
-runs too), and the file becomes one ``ReturnSeries`` that owns the read-only
-array, not a copy; no ``PriceSeries`` is built.  The fast path has checked
-every value, so the series' own check can only find an asset id that spans
-lines or a ratio that overflowed, with the message the file gives alone.  A
-file the fast path turns away, or a single price, goes alone from the text
-already read through ``parse_prices`` and ``to_returns`` or
-``parse_returns``.  Each file is read once, so an input can be a pipe or a
+first read.  Each file is converted and checked before the next is read, on
+the one path: ``_parse`` with the calendar, then, for prices, ``_returns``.
+The file becomes one ``ReturnSeries`` that owns the read-only array, not a
+copy; no ``PriceSeries`` is built.  The parse has checked every value, so what
+is left to fail is what the file gives alone too, in the same order: an asset
+id that spans lines, a single price, a ratio that overflowed.  A plain file's
+dates become the calendar; a file the fast path turns away is read by the row
+loop from the text already read, once, and leaves the calendar as it was.
+Each file is read once, so an input can be a pipe or a
 FIFO, and no file is read after the first bad one, which raises the error it
 raises alone.  The reader holds no series, no returns and no text of a file
 once it has yielded that file's series, so a caller that scores and drops the
@@ -104,7 +112,6 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar
 
 import numpy as np
 
@@ -207,13 +214,18 @@ class _Dates(Sequence):
 _NO_CALENDAR = _Dates._of("")
 
 
-def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
-    """Check ``series``; store its dates as ``_Dates`` and its ``field`` values read-only; return the values."""
-    asset_id = series.asset_id
+def _check_asset_id(asset_id: str) -> None:
+    """Refuse an ``asset_id`` that is empty or spans lines."""
     if not asset_id:
         raise InputError("asset_id must be non-empty")
     if asset_id.splitlines() != [asset_id]:
         raise InputError(f"asset_id must be one line, got {asset_id!r}")
+
+
+def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
+    """Check ``series``; store its dates as ``_Dates`` and its ``field`` values read-only; return the values."""
+    asset_id = series.asset_id
+    _check_asset_id(asset_id)
     values = _checked_array(getattr(series, field), f"{asset_id}: {field}")
     dates = series.dates if isinstance(series.dates, _Dates) else tuple(series.dates)
     if values.size != len(dates):
@@ -259,9 +271,6 @@ class ReturnSeries:
         return int(self.returns.size)
 
 
-_Series = TypeVar("_Series", PriceSeries, ReturnSeries)
-
-
 def _read_text(path: Path) -> str:
     """The text of ``path`` as ``Path.read_text(encoding="utf-8")`` reads it, universal newlines included."""
     with open(path, "rb", buffering=0) as handle:
@@ -275,7 +284,7 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates, np.ndarray] | None:
-    """The dates and the values of ``text`` if it is a plain file that its series type accepts, else None.
+    """The dates and read-only values of ``text`` if it is a plain file that its series type accepts, else None.
 
     Accepted means increasing dates and finite values, positive for prices.  ``calendar`` holds the date column
     of the last plain file read, and the dates are ``calendar`` itself when the file's date column is its.
@@ -322,6 +331,7 @@ def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates
         # and their code, paged in, raised universe_screen's peak RSS by 0.07-0.14 MB
         if not np.isfinite(values).all() or value_column == "price" and (values <= 0.0).any():
             return None
+        values.flags.writeable = False  # so a series holds this array, not a copy of it
         if matched and rows == len(calendar):
             return calendar, values
         read = _Dates._of(",".join(pieces))
@@ -333,35 +343,33 @@ def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates
         return None
 
 
-def _parse(text: str, value_column: str, asset_id: str, series_type: type[_Series]) -> _Series:
-    """``text`` as a ``series_type``, by the fast path when it accepts the file, else by the row loop."""
-    plain = _parse_plain(text, value_column, _NO_CALENDAR)
-    if plain is not None:
-        return series_type(asset_id, *plain)
-    return series_type(asset_id, *_row_loop(text, value_column, asset_id))
+def _parse(
+    text: str, value_column: str, asset_id: str, calendar: _Dates = _NO_CALENDAR
+) -> tuple[_Dates, np.ndarray]:
+    """The dates and read-only values of ``text``: the fast path's when it accepts the file, else the row loop's,
+    which raises the file's error."""
+    return _parse_plain(text, value_column, calendar) or _row_loop(text, value_column, asset_id)
 
 
-def _returns(prices: np.ndarray, method: ReturnMethod) -> np.ndarray:
-    """The returns along the last axis of ``prices``.
+def _returns(asset_id: str, dates: _Dates, prices: np.ndarray, method: ReturnMethod) -> ReturnSeries:
+    """The returns of checked ``prices`` on ``dates``, each dated by the later day.
 
-    An overflowed ratio, or the log of one that underflowed to 0, is left non-finite for the caller's check.
+    The asset id is checked before the count of prices, as a price series' own check would.  An overflowed
+    ratio, or the log of one that underflowed to 0, fails the return series' check.
     """
+    _check_asset_id(asset_id)
+    if prices.size < 2:
+        raise InputError(f"{asset_id}: need at least 2 prices to form returns, got {prices.size}")
     with np.errstate(over="ignore", divide="ignore"):
-        ratios = prices[..., 1:] / prices[..., :-1]
+        ratios = prices[1:] / prices[:-1]
         if method is ReturnMethod.SIMPLE:
             ratios -= 1.0
         elif method is ReturnMethod.LOG:
             np.log(ratios, out=ratios)
         else:
             raise InputError(f"unknown return method: {method!r}")
-    return ratios
-
-
-def _read_alone(text: str, asset_id: str, method: ReturnMethod | None) -> ReturnSeries:
-    """The return series of one file's ``text``, through the public functions."""
-    if method is None:
-        return parse_returns(text, asset_id)
-    return to_returns(parse_prices(text, asset_id), method)
+    ratios.flags.writeable = False  # so the series holds this array, not a copy of it
+    return ReturnSeries(asset_id, dates.tail, ratios)
 
 
 def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> Iterator[ReturnSeries]:
@@ -369,35 +377,26 @@ def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> Iterator[
     it is None.
 
     Two paths with one stem are refused before any file is read.  Each file is read once, and converted and
-    checked before the next is read, so each series is the one its file alone gives, and the first bad file
-    raises the error it raises alone.  A series is yielded as soon as its file is converted, and nothing here
-    holds it, its returns or its file's text while the next file is read: the caller decides what lives on.
+    checked before the next is read, by the path ``parse_returns``, or ``parse_prices`` and ``to_returns``, take:
+    ``_parse`` with the calendar, then, for prices, ``_returns``.  So each series is the one its file alone gives,
+    and the first bad file raises the error it raises alone.  A series is yielded as soon as its file is
+    converted, and nothing here holds it, its returns or its file's text while the next file is read: the caller
+    decides what lives on.
     """
     _reject_repeats((path.stem for path in paths), "asset ids")
     value_column = "return" if method is None else "price"
     calendar = _NO_CALENDAR
     for path in paths:
-        # the text and its parse are dropped before the yield, so two texts are never held at once: with both,
-        # tick_ties' peak RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB;
-        # and no name here holds a yielded series or its returns while the next file is read
-        text = _read_text(path)
-        plain = _parse_plain(text, value_column, calendar)
-        # a single price forms no return: to_returns raises its error
-        if plain is None or method is not None and plain[1].size < 2:
-            alone, text, plain = _read_alone(text, path.stem, method), None, None
-            yield alone
-            del alone
-            continue
-        text = None
-        calendar, values = plain
-        del plain  # so the prices are freed once their returns are made
-        dates = calendar
-        if method is not None:
-            values, dates = _returns(values, method), dates.tail
-        values.flags.writeable = False  # so the series holds this array, not a copy of it
-        # an asset id that spans lines, or a non-finite return, fails here with the message the file gives alone
-        yield ReturnSeries(path.stem, dates, values)
-        del values, dates
+        # the text is dropped before the yield, so two texts are never held at once: with both, tick_ties' peak
+        # RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
+        dates, values = _parse(_read_text(path), value_column, path.stem, calendar)
+        if dates._column is not None:  # a plain file's dates hold its date column, which the next is compared with
+            calendar = dates
+        if method is None:
+            yield ReturnSeries(path.stem, dates, values)
+        else:
+            yield _returns(path.stem, dates, values, method)
+        del dates, values  # so no name here holds a yielded series' returns while the next file is read
 
 
 def _csv_records(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
@@ -418,8 +417,9 @@ def _csv_records(text: str, source: str) -> Iterator[tuple[int, list[str]]]:
         raise InputError(f"{source}: line {reader.line_num}: {exc}") from None
 
 
-def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date], list[float]]:
-    """Read ``text`` one csv record at a time; the writer of every line-numbered header and value error."""
+def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[_Dates, np.ndarray]:
+    """The dates and the read-only values of ``text``, read one csv record at a time; the writer of every
+    line-numbered header and value error."""
     records = _csv_records(text, asset_id)
     _, header = next(records, (None, None))
     if header is None:
@@ -454,17 +454,19 @@ def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[list[dt.date
         values.append(value)
     if not dates:
         raise InputError(f"{asset_id}: no rows after the header")
-    return dates, values
+    array = np.array(values)
+    array.flags.writeable = False
+    return _Dates._of(None, 0, tuple(dates)), array
 
 
 def parse_prices(text: str, asset_id: str) -> PriceSeries:
     """Parse ``date,price`` CSV content into a validated PriceSeries."""
-    return _parse(text, "price", asset_id, PriceSeries)
+    return PriceSeries(asset_id, *_parse(text, "price", asset_id))
 
 
 def parse_returns(text: str, asset_id: str) -> ReturnSeries:
     """Parse ``date,return`` CSV content into a validated ReturnSeries."""
-    return _parse(text, "return", asset_id, ReturnSeries)
+    return ReturnSeries(asset_id, *_parse(text, "return", asset_id))
 
 
 def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) -> ReturnSeries:
@@ -472,6 +474,4 @@ def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) 
 
     Simple returns are P_t / P_{t-1} - 1; log returns are ln(P_t / P_{t-1}).
     """
-    if len(prices) < 2:
-        raise InputError(f"{prices.asset_id}: need at least 2 prices to form returns, got {len(prices)}")
-    return ReturnSeries(asset_id=prices.asset_id, dates=prices.dates.tail, returns=_returns(prices.prices, method))
+    return _returns(prices.asset_id, prices.dates, prices.prices, method)

@@ -5,8 +5,10 @@ modules listed before it in ``LAYERS``, so no import cycle can form, and no
 function rebinds module state other than the names in ``GLOBALS``, which are none.  Every
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
-files in one place, the loop of ``_read_panel``, so no file is read twice, and
-makes returns in that loop and in ``to_returns`` alone, one file at a time, and
+files in one place, the loop of ``_read_panel``, so no file is read twice;
+parses text in one place, ``_parse``, the only caller of the fast path and the
+row loop, so no file is parsed twice; makes returns in that loop and in
+``to_returns`` alone, one file at a time; and
 keeps date objects made from a date column's text in ``_Dates``' builder alone; a
 backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
 the panel reader only as the argument of ``run_suite``, which never passes its
@@ -221,6 +223,12 @@ def test_ingestion_makes_returns_in_two_places():
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_returns") == [
         "_read_panel/for", "to_returns",
     ]
+
+
+def test_ingestion_parses_text_in_one_place():
+    # the fast path, else the row loop, in _parse alone: no reader runs a second parse of a file's text
+    source = (SRC / "ingestion.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_parse_plain") == name_uses(source, "_row_loop") == ["_parse"]
 
 
 def test_ingestion_keeps_dates_of_column_text_in_one_place():

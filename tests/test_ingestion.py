@@ -381,6 +381,7 @@ PANEL_TEXTS = {
     "quoted": PANEL_TEXT.replace("2.0", '"2.0"'),
     "overflow": PANEL_TEXT.replace("1.0", "1e-300").replace("2.0", "1e300"),
     "a\nb": PANEL_TEXT,
+    "one\nline": "date,price\n2020-01-01,1.0\n",
 }
 
 
@@ -393,7 +394,9 @@ PANEL_TEXTS = {
     # a file that fails only once converted raises before the next file is read
     (("a", "overflow", "missing"), 2, "^overflow: returns must be finite$"),
     (("a", "a\nb", "missing"), 2, "^asset_id must be one line, got 'a\\\\nb'$"),
-], ids=["valid", "refused", "one-price", "missing", "read-alone", "overflow", "line-break"])
+    # the asset id is checked before the count of prices, as a price series' own check would
+    (("a", "one\nline", "missing"), 2, "^asset_id must be one line, got 'one\\\\nline'$"),
+], ids=["valid", "refused", "one-price", "missing", "read-alone", "overflow", "line-break", "one-price-line-break"])
 def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, message):
     # a pipe or a FIFO gives its text once, so every path through the reader
     # reads each file once, and none after the one that raises
@@ -430,3 +433,49 @@ def test_panel_reader_reads_the_paths_it_is_given(tmp_path, monkeypatch):
     monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
     assert [series.asset_id for series in list(_read_panel(paths, ReturnMethod.LOG))] == ["a", "quoted", "b"]
     assert len(read) == len(paths) and all(seen is given for seen, given in zip(read, paths))
+
+
+def test_panel_reader_parses_each_file_once(monkeypatch):
+    # a file the fast path turns away goes to the row loop from the same parse, not through the fast path
+    # again, and the row loop's dates are kept as it checked them, not walked by a second constructor
+    calls = collections.Counter()
+    parse_plain, dates_init = histrisk.ingestion._parse_plain, histrisk.ingestion._Dates.__init__
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(histrisk.ingestion, "_parse_plain", counted("_parse_plain", parse_plain))
+    monkeypatch.setattr(histrisk.ingestion._Dates, "__init__", counted("_Dates", dates_init))
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: PANEL_TEXTS[path.stem])
+    paths = [Path(f"{name}.csv") for name in ("a", "quoted", "c")]
+    assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == ["a", "quoted", "c"]
+    assert calls == {"_parse_plain": 3}
+
+
+def test_parsers_keep_the_array_they_build(monkeypatch):
+    # parse_returns holds the fast path's read-only array itself, and to_returns the one array of returns it
+    # forms: neither copies what it just built
+    built = []
+    parse_plain = histrisk.ingestion._parse_plain
+
+    def recorded(*args):
+        built.append(parse_plain(*args))
+        return built[-1]
+
+    monkeypatch.setattr(histrisk.ingestion, "_parse_plain", recorded)
+    assert parse_returns(DAYS_TEXT.replace("price", "return"), "x").returns is built[0][1]
+
+    start = dt.date(1950, 1, 1).toordinal()
+    prices = parse_prices(
+        "date,price\n" + "".join(f"{dt.date.fromordinal(start + i)},{100 + i % 7}\n" for i in range(20_000)), "x"
+    )
+    tracemalloc.start()
+    try:
+        returns = to_returns(prices, ReturnMethod.LOG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * returns.returns.nbytes, f"to_returns traced {peak / 1024:.0f} KiB"
