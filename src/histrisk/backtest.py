@@ -10,12 +10,14 @@ judged against a forecast computed from the n days strictly before it.
   A block with zero violations has no realized tail mean -- the tail
   expectation "did not exist" there -- and is counted, not errored.
 
-``run_suite`` scores a stack of equal-length series (below) at a time.  Its
-length skips, ``N returns < required M``, hold for every series of a stack, so
-they are decided once per stack and spec, and ``_var_rows`` builds a spec's
-VaR rows for the whole stack from one column of the stack's rank counts.
-``_tce_result`` scores one pair, or raises ``_Skip`` when no block has a
-defined prediction, the one skip that depends on the data.  Each skip is
+``run_suite`` ranks a stack of equal-length series (below) at a time, then
+scores its pairs in one walk, in report order.  A length skip, ``N returns <
+required M``, holds for every series of a stack, so each spec's VaR and TCE
+skip reasons are built once per stack, beside the spec's column of the stack's
+violation counts.  Each series then visits the specs once: a spec gives a VaR
+row, from the ``_var_row`` that ``var_backtest`` also uses, or a VaR skip, then
+a TCE skip or a row from ``_tce_result``, which raises ``_Skip`` when no block
+has a defined prediction, the one skip that depends on the data.  Each skip is
 recorded as a SkippedPair.  ``var_backtest``, ``tce_backtest`` and
 ``rolling_var_forecasts`` score one pair and raise ``_Skip``, the InputError
 that says why the pair cannot be scored, through ``_require``.
@@ -82,7 +84,9 @@ broadcasting 1..n to the table's shape first nor a buffer of one row avoided it
 cheaply: the first still allocated it, and the second made the divide of a
 500 x 10 table 5x slower.  ``run_suite`` builds a duration's table only for a
 series of at least 2n returns, and drops it before the next table or rank pass:
-two live tables would break the budget.
+two live tables would break the budget.  Its walk holds one table, rebuilt when
+the duration changes; the specs are sorted by duration first, so that is one
+table per (series, duration).
 """
 
 from __future__ import annotations
@@ -352,29 +356,16 @@ def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt
     return list(zip(series.dates[n:], values.tolist()))
 
 
-def _var_rows(
-    stack: Sequence[ReturnSeries], spec: RiskSpec, k: int, counts: dict[tuple[int, bool], np.ndarray]
-) -> list[VarBacktestRow]:
-    """The VaR rows of ``spec`` for every series of ``stack``, in order, from column ``k`` of its ``_rank_passes``.
-
-    The series hold more than ``spec.duration_n`` returns, and k is the spec's ``quantile_index``.
-    """
-    n = spec.duration_n
-    evaluation_days = len(stack[0]) - n
+def _var_row(series: ReturnSeries, spec: RiskSpec, violations: int) -> VarBacktestRow:
+    """The VaR row of one pair from its violation count; ``series`` holds more than ``spec.duration_n`` returns."""
+    evaluation_days = len(series) - spec.duration_n
     tail_probability = 1.0 - spec.level.alpha
     # in Python, not NumPy: the rates are the floats a row always held, and no NumPy loop
     # that a backtest did not run before pages its code in
-    return [
-        VarBacktestRow(
-            series.asset_id,
-            spec,
-            evaluation_days,
-            violations,
-            rate := violations / evaluation_days,
-            (rate - tail_probability) / tail_probability,
-        )
-        for series, violations in zip(stack, counts[n, spec.strict_violation][:, k].tolist())
-    ]
+    rate = violations / evaluation_days
+    return VarBacktestRow(
+        series.asset_id, spec, evaluation_days, violations, rate, (rate - tail_probability) / tail_probability
+    )
 
 
 def _tce_blocks(series: ReturnSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +420,8 @@ def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
     _require(series, spec.duration_n + 1)
     k = quantile_index(spec.duration_n, spec.level, spec.conv)
-    return _var_rows([series], spec, k, _rank_passes([series], [spec]))[0]
+    counts = _rank_passes([series], [spec])[spec.duration_n, spec.strict_violation]
+    return _var_row(series, spec, int(counts[0, k]))
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -495,37 +487,39 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for stack in _stacks(series_set):
-        # every series of a stack has one length, so the length skips and the VaR rows are the stack's, per spec
+        # a stack's series have one length, so a spec's length skips, each one reason string, are the stack's
         size = len(stack[0])
         counts = _rank_passes(stack, spec_list)
-        by_duration = {}  # duration -> (spec, k, VaR skip, the stack's VaR rows, TCE skip) of each of its specs
-        for spec, k in zip(spec_list, ks):
-            n = spec.duration_n
-            var_skip = _shortfall(size, n + 1)
-            stack_rows = None if var_skip else _var_rows(stack, spec, k, counts)
-            by_duration.setdefault(n, []).append((spec, k, var_skip, stack_rows, _shortfall(size, 2 * n)))
+        stack_specs = [  # (spec, k, the stack's violation counts or VaR skip, TCE skip) of each spec, in order
+            (
+                spec,
+                k,
+                _shortfall(size, spec.duration_n + 1) or counts[spec.duration_n, spec.strict_violation][:, k].tolist(),
+                _shortfall(size, 2 * spec.duration_n),
+            )
+            for spec, k in zip(spec_list, ks)
+        ]
         del counts  # not alive through the TCE tables or the next stack's rank pass
         for column, series in enumerate(stack):
             asset_id = series.asset_id
             ids.append(asset_id)
-            for n, same_n in by_duration.items():
-                table = None  # built by the first TCE pair that needs it
-                for spec, k, var_skip, stack_rows, tce_skip in same_n:
-                    if var_skip:
-                        skips.append(SkippedPair(asset_id, spec, "var", var_skip))
-                    else:
-                        var_rows.append(stack_rows[column])
-                    if tce_skip:
-                        skips.append(SkippedPair(asset_id, spec, "tce", tce_skip))
-                        continue
-                    if table is None:
-                        table = _tce_blocks(series, n)
-                    try:
-                        tce_rows.append(_tce_result(series, spec, k, table))
-                    except _Skip as skip:
-                        skips.append(SkippedPair(asset_id, spec, "tce", str(skip)))
-                del table  # not alive through the next table or the next stack's rank pass
-        del stack, series  # not alive while the next stack is read
+            table = table_n = None  # the TCE table of duration table_n, built by the first pair that needs it
+            for spec, k, var_counts, tce_skip in stack_specs:
+                if isinstance(var_counts, str):
+                    skips.append(SkippedPair(asset_id, spec, "var", var_counts))
+                else:
+                    var_rows.append(_var_row(series, spec, var_counts[column]))
+                if tce_skip:
+                    skips.append(SkippedPair(asset_id, spec, "tce", tce_skip))
+                    continue
+                if table_n != spec.duration_n:
+                    table = None  # the specs come by duration: one table per duration, freed before the next
+                    table, table_n = _tce_blocks(series, spec.duration_n), spec.duration_n
+                try:
+                    tce_rows.append(_tce_result(series, spec, k, table))
+                except _Skip as skip:
+                    skips.append(SkippedPair(asset_id, spec, "tce", str(skip)))
+        del stack, series, table  # not alive while the next stack is read or ranked
     if not ids:
         raise InputError("at least one return series is required")
     _reject_repeats(ids, "asset ids")

@@ -278,7 +278,7 @@ def _read_text(path: Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
+        line = len(exc.object[:exc.start + 1].splitlines())
         raise InputError(f"{path}: line {line}: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 

@@ -59,7 +59,8 @@ def _checked_array(values: object, what: str) -> np.ndarray:
     """``values`` as a read-only 1-D float array, checked non-empty and finite; ``what`` names them in errors.
 
     The array is a copy, unless ``values`` already is a read-only float array over read-only memory: only a
-    flag set back could write that, so it is kept, and series can hold rows of one block instead of copies.
+    flag set back could write that, so it is kept, and a series holds the array its parser or ``_returns``
+    built instead of a copy.
     """
     base = getattr(values, "base", None)
     if (

@@ -663,6 +663,48 @@ def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
             assert ("a41", "a41b", "a41c") in stacks and len(stacks) == 7
 
 
+def test_run_suite_builds_one_tce_table_per_duration_of_mixed_specs(monkeypatch):
+    # one call whose specs mix both conventions and both strictness settings at every duration (at four
+    # levels, since two specs may not share a label): the specs are walked by duration, so each (series,
+    # duration) still gets one table, and none is alive while the next one is built
+    built, tables = [], []
+    tce_blocks = backtest._tce_blocks
+
+    def counted(series, n):
+        assert all(table() is None for table in tables)
+        rows, means = tce_blocks(series, n)
+        built.append((series.asset_id, n))
+        tables.extend((weakref.ref(rows), weakref.ref(means)))
+        return rows, means
+
+    monkeypatch.setattr(backtest, "_tce_blocks", counted)
+    rng = np.random.default_rng(67)
+    series = [make_series(rng.normal(size=size), asset=f"a{i}") for i, size in enumerate((9, 41, 41, 120))]
+    durations = (2, 5, 10, 20, 50)
+    mixes = ((0.5, LARGEST, True), (0.6, SMALLEST, False), (0.7, LARGEST, False), (0.8, SMALLEST, True))
+    specs = [RiskSpec(n, Level(alpha), conv, strict) for n in durations for alpha, conv, strict in mixes]
+    report = run_suite(series, specs)
+    assert sorted(built) == sorted((s.asset_id, n) for s in series for n in durations if 2 * n <= len(s))
+    assert len(report.var_rows) + len(report.tce_rows) + len(report.skips) == 2 * len(series) * len(specs)
+
+
+def test_run_suite_shares_each_length_skip_reason_across_its_stack():
+    # a stack's series have one length, so a spec's length skips hold for all of them, and each reason is one
+    # string per (stack, spec), not one per pair: on a screen of 1,000 short files, one per stack, not 1,000
+    rng = np.random.default_rng(68)
+    stack = [make_series(rng.normal(size=30), asset=f"s{i}") for i in range(5)]
+    short_tce, short_both = RiskSpec(20, Level(0.9)), RiskSpec(40, Level(0.9))
+    report = run_suite(stack, [short_tce, short_both])
+    for spec, kind, reason in (
+        (short_tce, "tce", "30 returns < required 40"),
+        (short_both, "var", "30 returns < required 41"),
+        (short_both, "tce", "30 returns < required 80"),
+    ):
+        reasons = [skip.reason for skip in report.skips if skip.spec == spec and skip.kind == kind]
+        assert len(reasons) == len(stack) and reasons[0] == reason
+        assert all(other is reasons[0] for other in reasons)
+
+
 def test_return_series_validation():
     dates = (dt.date(2020, 1, 2), dt.date(2020, 1, 1))
     with pytest.raises(InputError, match="strictly increasing"):

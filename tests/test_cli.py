@@ -299,6 +299,16 @@ def test_non_utf8_byte_past_8_kib_names_its_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_names_its_line_under_each_newline(tmp_path, capsys, newline):
+    # a decode error counts line breaks as universal newlines do, as the row loop's errors do
+    path = tmp_path / "cr.csv"
+    for cell, error in ((b"x", "error: cr: line 3: invalid return 'x'\n"), (b"\xff", f"error: {path}: line 3: ")):
+        path.write_bytes(newline.encode().join([b"date,return", b"2020-01-01,0.1", b"2020-01-02," + cell, b""]))
+        assert main(["backtest", "--returns", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(error)
+
+
 def test_backtest_missing_relative_file_is_named_as_path_gives_it(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["backtest", "--returns", "./nope.csv", "--out", "o"]) == 1

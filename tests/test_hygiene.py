@@ -13,6 +13,8 @@ keeps date objects made from a date column's text in ``_Dates``' builder alone; 
 backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
 the panel reader only as the argument of ``run_suite``, which never passes its
 input to ``list``, ``sorted`` or ``tuple``, so no backtest holds its whole panel.
+Every private name a docstring or comment quotes in double backticks is defined
+in the package, so none is left naming code that is gone.
 """
 
 import ast
@@ -310,3 +312,47 @@ def test_materialised_finds_calls_on_the_first_parameter():
 def test_suite_never_materialises_its_input(function):
     # run_suite takes its series once, a stack at a time, through _stacks; a list of them would hold the panel
     assert materialised((SRC / "backtest.py").read_text(encoding="utf-8"), function) == []
+
+
+def quoted_private_names(source: str) -> set[str]:
+    """The private names ``source`` quotes in double backticks, such as ``_x``."""
+    return set(re.findall(r"``(_\w+)``", source))
+
+
+def defined_names(source: str) -> set[str]:
+    """The names ``source`` defines: defs, classes, assignment targets, attributes and ``__slots__`` entries."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_quoted_private_names_and_defined_names():
+    source = (
+        '"""Uses ``_f``, ``_C``, ``_x``, ``_attr``, ``_slot``, ``_gone``, `_one` and ``public``."""\n'
+        "class _C:\n"
+        "    __slots__ = ('_slot',)\n"
+        "def _f():\n"
+        "    _x = 1\n"
+        "    obj._attr = _x  # ``_also_gone``\n"
+    )
+    assert quoted_private_names(source) - defined_names(source) == {"_gone", "_also_gone"}
+
+
+def test_quoted_private_names_are_defined():
+    # a docstring that quotes a private name the code no longer defines describes code that is gone
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    defined = set().union(*map(defined_names, sources.values()))
+    undefined = [
+        (name, quoted) for name, source in sources.items() for quoted in sorted(quoted_private_names(source) - defined)
+    ]
+    assert undefined == []

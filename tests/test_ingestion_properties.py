@@ -10,6 +10,7 @@ Texts are valid files with random damage of the kinds real exports carry.
 
 import csv
 import datetime as dt
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -391,7 +392,7 @@ def test_read_text_matches_path_read_text(runs):
         try:
             expected = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            line = exc.object[:exc.start].count(b"\n") + 1
+            line = io.TextIOWrapper(io.BytesIO(exc.object[:exc.start]), encoding="utf-8").read().count("\n") + 1
             with pytest.raises(InputError, match=f"^{re.escape(f'{path}: line {line}: {exc}')}$"):
                 ingestion._read_text(path)
         else:
