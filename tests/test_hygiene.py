@@ -14,7 +14,9 @@ backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
 the panel reader only as the argument of ``run_suite``, which never passes its
 input to ``list``, ``sorted`` or ``tuple``, so no backtest holds its whole panel.
 Every private name a docstring or comment quotes in double backticks is defined
-in the package, so none is left naming code that is gone.
+in the package, so none is left naming code that is gone, and the README's
+Performance section quotes the chunk sizes of the reader and the rank pass as
+the code sets them.
 """
 
 import ast
@@ -356,3 +358,31 @@ def test_quoted_private_names_are_defined():
         (name, quoted) for name, source in sources.items() for quoted in sorted(quoted_private_names(source) - defined)
     ]
     assert undefined == []
+
+
+def readme_section(title: str) -> str:
+    """The text of the README section headed ``## title``, up to the next ``## `` heading."""
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## |\Z)", readme, re.M | re.S).group(1)
+
+
+def quoted_numbers(text: str, phrase: str) -> list[int]:
+    """Each number that ``text`` quotes where ``phrase`` says ``N``, whatever whitespace or line break separates
+    its words."""
+    words = (r"(\d+)" if word == "N" else re.escape(word) for word in phrase.split())
+    return [int(n) for n in re.findall(r"\s+".join(words), text)]
+
+
+def test_quoted_numbers_reads_across_line_breaks():
+    text = "split in 8\nKi-character chunks, in tiles of\nat most 64 Ki compares, in 12 Ki-character pieces"
+    assert quoted_numbers(text, "N Ki-character chunks") == [8]
+    assert quoted_numbers(text, "tiles of at most N Ki compares") == [64]
+
+
+def test_readme_performance_quotes_the_chunk_sizes():
+    # the Performance section states the two chunk constants that set the reader's and the rank pass's memory
+    from histrisk import backtest, ingestion
+
+    performance = readme_section("Performance")
+    assert quoted_numbers(performance, "N Ki-character chunks") == [ingestion._CHUNK_CHARS // 1024]
+    assert quoted_numbers(performance, "tiles of at most N Ki compares") == [backtest._CHUNK_ELEMS // 1024]

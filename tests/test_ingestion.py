@@ -25,7 +25,7 @@ from histrisk import (
     rolling_var_forecasts,
     to_returns,
 )
-from histrisk.ingestion import _read_panel, _row_loop
+from histrisk.ingestion import _NO_CALENDAR, _parse, _parse_plain, _read_panel, _row_loop
 
 
 def test_parse_prices_minimal():
@@ -319,6 +319,81 @@ def test_fast_path_peak_memory_within_row_loop():
     public = _peak_bytes(lambda t: parse_returns(t, "x"), text)
     row_loop = _peak_bytes(lambda t: _row_loop(t, "return", "x"), text)
     assert public <= row_loop
+
+
+def _returns_text(days, values):
+    return "date,return\n" + "".join(f"{day},{value}\n" for day, value in zip(days, values))
+
+
+def _held_above(calendar, text):
+    """What ``_parse_plain`` returns for ``text`` on ``calendar``, and its traced peak above that result."""
+    tracemalloc.start()
+    try:
+        read = _parse_plain(text, "return", calendar)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return read, peak - held
+
+
+def test_fast_path_holds_one_chunk_of_cell_strings():
+    # at the default chunk, the fast path holds above its result only the joined date pieces, 11 bytes a row,
+    # and one chunk's cell strings, about two a line; CPython keeps the pages of freed small strings resident,
+    # so a larger chunk's strings would stay in the reader's peak RSS
+    rows = 50_000
+    start = dt.date(1900, 1, 1)
+    days = [start + dt.timedelta(days=i) for i in range(rows)]
+    text = _returns_text(days, map(repr, np.random.default_rng(36).normal(0.0, 0.01, rows).tolist()))
+    budget = 11 * rows + 160 * 1024
+    (calendar, _), miss = _held_above(_NO_CALENDAR, text)
+    (read, _), hit = _held_above(calendar, text)
+    assert read is calendar
+    assert miss <= budget, f"a calendar miss peaked {miss / 1024:.0f} KiB above its result"
+    assert hit <= budget, f"a calendar hit peaked {hit / 1024:.0f} KiB above its result"
+
+
+def _default_chunk_texts():
+    """A returns text of 3 or more default chunks, and the same text with its dates one day later from a line
+    in the second chunk on."""
+    chunk = histrisk.ingestion._CHUNK_CHARS
+    rows = chunk // 8
+    days = [dt.date(1990, 1, 1) + dt.timedelta(days=i) for i in range(rows)]
+    values = [repr(value) for value in np.random.default_rng(37).normal(0.0, 0.01, rows).tolist()]
+    values[1::97] = ["-0.0"] * len(values[1::97])  # equal to 0.0, but not bit-identical
+    values[2::89] = ["5e-324"] * len(values[2::89])
+    first = _returns_text(days, values)
+    assert len(first) >= 3 * chunk
+    moved = first.count("\n", 0, len("date,return\n") + chunk) + 5
+    later = days[:moved] + [day + dt.timedelta(days=1) for day in days[moved:]]
+    return days, values, first, _returns_text(later, values)
+
+
+def test_default_chunks_match_the_row_loop():
+    # the chunk property tests split in chunks of 12 to 80 characters; these texts span real ones: a calendar
+    # miss, a hit, then a miss from the second chunk on
+    _, _, first, second = _default_chunk_texts()
+    calendar = _NO_CALENDAR
+    for text, hit in ((first, False), (first, True), (second, False)):
+        read, values = _parse_plain(text, "return", calendar)
+        dates, expected = _row_loop(text, "return", "x")
+        assert (read is calendar) == hit
+        assert read == dates and values.tobytes() == expected.tobytes()
+        calendar = read
+
+
+@pytest.mark.parametrize("last", ["invalid", "repeated"])
+def test_default_chunks_leave_a_last_chunk_date_to_the_row_loop(last):
+    # on a calendar that holds every chunk but the last, a bad date there sends the file to the row loop,
+    # which names its line
+    days, values, first, _ = _default_chunk_texts()
+    calendar, _ = _parse_plain(first, "return", _NO_CALENDAR)
+    bad = days[:-1] + [f"{days[-1].year}-02-30" if last == "invalid" else days[-2]]
+    text = _returns_text(bad, values)
+    assert _parse_plain(text, "return", calendar) is None
+    with pytest.raises(InputError, match=f"^x: line {len(days) + 1}: ") as alone:
+        _row_loop(text, "return", "x")
+    with pytest.raises(InputError, match=f"^{re.escape(str(alone.value))}$"):
+        _parse(text, "return", "x", calendar)
 
 
 def _read_universe(monkeypatch, texts):
