@@ -37,47 +37,45 @@ the ratio or its log as one read-only array on the prices' dates' ``tail``.
 
 The dates a series holds are a ``_Dates``, a read-only sequence of strictly
 increasing dates.  Dates given as objects are walked once, when constructed,
-and kept as a tuple.  Dates read from a plain file are kept as its checked date
-column, the ISO cells joined by ``","``, and their ``dt.date`` tuple is built
-from that text on first use (a backtest reads no date, so it builds none);
-that builder is the one place the column text becomes kept date objects.
-``_check_series`` trusts the type, and the ``tail`` of one, the dates of the
-returns formed from prices on it, is the same text one date on, not walked or
-copied.  So dates are walked once, whatever number of series hold them.  Dates
-with a tail build only their first date and take the tail's objects for the
-rest, and a tail taken once its dates are built is a slice of their tuple, so
-prices and their returns share each date object whichever is read first.
+refused unless each is a ``dt.date`` and no ``dt.datetime``, and kept as a
+tuple.  Dates read from a plain file are kept as its checked date column, the
+ISO cells joined by ``","``, and their ``dt.date`` tuple is built from that
+text on first use (a backtest reads no date, so it builds none); that builder
+is the one place the column text becomes kept date objects.  ``_check_series``
+trusts the type, and the ``tail`` of one, the dates of the returns formed from
+prices on it, is the same text one date on, not walked or copied.  So dates are
+walked once, whatever number of series hold them.  Dates with a tail build only
+their first date and take the tail's objects for the rest, and a tail taken
+once its dates are built is a slice of their tuple, so prices and their returns
+share each date object whichever is read first.
 
 ``_read_panel`` reads the files of one backtest, in the order given, yielding
-each file's series as soon as it is converted, and owns their calendar for
-that one read: the ``_Dates`` of the last plain file it read.  Each chunk's
-date cells, joined the same way, are compared with the calendar's text at the
-same offset, and no date object is built while they match; a whole match
-returns the calendar itself, so every series on it holds the same dates and,
-for returns of prices, the same tail.  From the first chunk that differs, each
-chunk's cells are converted to check them and the objects dropped, and the
-order is checked on the text, the boundary with the last matched date
-included: once the prefix regex and the conversion have passed them,
-fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
-column then becomes the calendar; if only its first date differs, it takes the
-old calendar's tail, found by comparing the text after the first date, so
-returns of prices on either hold one dates object.
-Two paths with one stem, which would give one asset id, are refused before the
-first read.  Each file is converted and checked before the next is read, on
-the one path: ``_parse`` with the calendar, then, for prices, ``_returns``.
-The file becomes one ``ReturnSeries`` that owns the read-only array, not a
-copy; no ``PriceSeries`` is built.  The parse has checked every value, so what
-is left to fail is what the file gives alone too, in the same order: an asset
-id that spans lines, a single price, a ratio that overflowed.  A plain file's
-dates become the calendar; a file the fast path turns away is read by the row
-loop from the text already read, once, and leaves the calendar as it was.
-Each file is read once, so an input can be a pipe or a
-FIFO, and no file is read after the first bad one, which raises the error it
-raises alone.  The reader holds no series, no returns and no text of a file
-once it has yielded that file's series, so a caller that scores and drops the
-series as they come, as ``run_suite`` does, never holds the whole panel.  The
-public functions share no calendar between calls.  A calendar hit relies on the
-line-prefix regex below:
+each file's series as soon as it is converted, and owns their calendar for that
+one read: the checked date column of the last plain file it read, as text.
+Each chunk's date cells, joined the same way, are compared with the calendar at
+the same offset, and no date is converted while they match; on a whole match
+the file's dates hold the calendar's string itself, so the files of one
+calendar share one date column, not a copy each.  From the first chunk that
+differs, each chunk's cells are converted to check them and the objects
+dropped, and the order is checked on the text, the boundary with the last
+matched date included: once the prefix regex and the conversion have passed
+them, fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
+column then becomes the calendar, and nothing of the one before is kept.  Two
+paths with one stem, which would give one asset id, are refused before the
+first read.  Each file is converted and checked before the next is read, on the
+one path: ``_parse`` with the calendar, then, for prices, ``_returns``.  The
+file becomes one ``ReturnSeries`` that owns the read-only array, not a copy; no
+``PriceSeries`` is built.  The parse has checked every value, so what is left
+to fail is what the file gives alone too, in the same order: an asset id that
+spans lines, a single price, a ratio that overflowed.  A plain file's date
+column becomes the calendar; a file the fast path turns away is read by the row
+loop from the text already read, once, and leaves the calendar as it was.  Each
+file is read once, so an input can be a pipe or a FIFO, and no file is read
+after the first bad one, which raises the error it raises alone.  The reader
+holds no series, no returns and no text of a file once it has yielded that
+file's series, so a caller that scores and drops the series as they come, as
+``run_suite`` does, never holds the whole panel.  The public functions share no
+calendar between calls.  A calendar hit relies on the line-prefix regex below:
 ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n`` has as many commas as newlines
 and even cells equal to the calendar 2020-01-01, 2020-01-02, and only the regex
 sends it to the row loop.
@@ -118,7 +116,7 @@ import numpy as np
 from .errors import InputError, _reject_repeats
 from .measures import _checked_array
 
-_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")  # ASCII digits: ``\d`` matches any Unicode digit
 
 # A newline not followed by an ASCII-digit ``YYYY-MM-DD,`` line prefix.  Anchoring
 # on the literal newline rather than ``^`` lets the engine skip from line to line;
@@ -138,9 +136,10 @@ class ReturnMethod(enum.Enum):
 class _Dates(Sequence):
     """Strictly increasing dates, read-only: ``len``, iteration, indexing and ``==`` as on their tuple.
 
-    Dates given as objects are walked once, when constructed, and kept as a tuple.  Dates read from a plain
-    file are its checked date column, the ``YYYY-MM-DD`` cells joined by ``","``, from the one at ``offset``;
-    their tuple is built from that text on first use and kept.  A slice is a tuple; ``hash`` and ``repr`` are
+    Dates given as objects are walked once, when constructed, and kept as a tuple; each must be a ``dt.date``
+    and not a ``dt.datetime``.  Dates read from a plain file are its checked date column, the ``YYYY-MM-DD``
+    cells joined by ``","``, from the one at ``offset``; their tuple is built from that text on first use and
+    kept.  A slice is a tuple; ``hash`` and ``repr`` are
     the tuple's, and an equal tuple or ``_Dates`` compares equal from either side.
     """
 
@@ -148,6 +147,10 @@ class _Dates(Sequence):
 
     def __init__(self, dates: Iterable[dt.date]) -> None:
         dates = tuple(dates)
+        for index, day in enumerate(dates):
+            # a datetime is a date too, but it carries a time of day: two of them can fall on one day
+            if not isinstance(day, dt.date) or isinstance(day, dt.datetime):
+                raise InputError(f"dates[{index}] must be a datetime.date, got {day!r}")
         if not all(map(operator.lt, dates, dates[1:])):
             prev, curr = next((prev, curr) for prev, curr in zip(dates, dates[1:]) if not prev < curr)
             raise InputError(f"dates must be strictly increasing: {curr} does not follow {prev}")
@@ -210,9 +213,6 @@ class _Dates(Sequence):
 
     def __repr__(self) -> str:
         return repr(self._built())
-
-
-_NO_CALENDAR = _Dates._of("")
 
 
 def _check_asset_id(asset_id: str) -> None:
@@ -284,11 +284,12 @@ def _read_text(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates, np.ndarray] | None:
+def _parse_plain(text: str, value_column: str, calendar: str) -> tuple[_Dates, np.ndarray] | None:
     """The dates and read-only values of ``text`` if it is a plain file that its series type accepts, else None.
 
-    Accepted means increasing dates and finite values, positive for prices.  ``calendar`` holds the date column
-    of the last plain file read, and the dates are ``calendar`` itself when the file's date column is its.
+    Accepted means increasing dates and finite values, positive for prices.  ``calendar`` is the checked date
+    column of the last plain file read, ``""`` before the first; when the file's date column is that text, the
+    dates hold that string itself.
     """
     text = text.lstrip("\ufeff")
     header = f"date,{value_column}\n"
@@ -303,9 +304,8 @@ def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates
         or _NOT_PLAIN_ROW.search(text, start - 1, end - 1)
     ):
         return None
-    column = calendar._column
     pieces: list[str] = []  # each chunk's date cells, joined by ","
-    matched = True  # while every chunk matches ``column``
+    matched = True  # while every chunk matches ``calendar``
     last = ""  # the last date cell read, which the next chunk's first must follow
     values = np.empty(rows)
     done = 0
@@ -316,7 +316,7 @@ def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates
             days = cells[0:-1:2]
             pieces.append(",".join(days))
             # every date cell is 10 characters, so the chunk's first date sits at 11 per date before it
-            matched = matched and column.startswith(pieces[-1], 11 * done)
+            matched = matched and calendar.startswith(pieces[-1], 11 * done)
             # off the calendar, each cell must be a date (a date is true; a bad cell raises ValueError), and the
             # prefix check makes every cell fixed-width ``YYYY-MM-DD``, whose text sorts as its date does; the
             # dates themselves are dropped, to be built from the column if ever read
@@ -333,19 +333,15 @@ def _parse_plain(text: str, value_column: str, calendar: _Dates) -> tuple[_Dates
         if not np.isfinite(values).all() or value_column == "price" and (values <= 0.0).any():
             return None
         values.flags.writeable = False  # so a series holds this array, not a copy of it
-        if matched and rows == len(calendar):
-            return calendar, values
-        read = _Dates._of(",".join(pieces))
-        # only the first date differs: returns of prices on either hold one dates object
-        if value_column == "price" and len(read._column) == len(column) and read._column[11:] == column[11:]:
-            read._tail = calendar.tail
-        return read, values
+        if matched and len(calendar) == 11 * rows - 1:  # 11 characters a date, less the last comma
+            return _Dates._of(calendar), values
+        return _Dates._of(",".join(pieces)), values
     except ValueError:  # a cell's conversion
         return None
 
 
 def _parse(
-    text: str, value_column: str, asset_id: str, calendar: _Dates = _NO_CALENDAR
+    text: str, value_column: str, asset_id: str, calendar: str = ""
 ) -> tuple[_Dates, np.ndarray]:
     """The dates and read-only values of ``text``: the fast path's when it accepts the file, else the row loop's,
     which raises the file's error."""
@@ -386,13 +382,13 @@ def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> Iterator[
     """
     _reject_repeats((path.stem for path in paths), "asset ids")
     value_column = "return" if method is None else "price"
-    calendar = _NO_CALENDAR
+    calendar = ""
     for path in paths:
         # the text is dropped before the yield, so two texts are never held at once: with both, tick_ties' peak
         # RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
         dates, values = _parse(_read_text(path), value_column, path.stem, calendar)
         if dates._column is not None:  # a plain file's dates hold its date column, which the next is compared with
-            calendar = dates
+            calendar = dates._column
         if method is None:
             yield ReturnSeries(path.stem, dates, values)
         else:

@@ -619,7 +619,7 @@ def test_read_panel_keeps_no_built_dates(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held <= 32 * 20_000, f"the read held {held / 20_000:.1f} bytes a day"
-    assert series[0].dates is series[1].dates and series[0].dates._dates is None
+    assert series[0].dates._column is series[1].dates._column and series[0].dates._dates is None
 
 
 def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):

@@ -465,6 +465,14 @@ def test_backtest_bad_spec_flag(tmp_path, capsys):
         assert rc == 1, bad
 
 
+def test_backtest_names_a_spec_it_cannot_read(tmp_path, capsys):
+    # the specs are read before any input, so the missing file is never reached
+    rc = main(["backtest", "--returns", str(tmp_path / "a.csv"), "--spec", "10:abc", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: invalid --spec '10:abc': expected N:ALPHA, e.g. 100:0.99\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_backtest_duplicate_asset_stems(tmp_path, capsys):
     rng = np.random.default_rng(68)
     (tmp_path / "sub").mkdir()
@@ -666,6 +674,18 @@ def test_regress_input_errors_name_table_and_line(tmp_path, capsys, body, messag
     table.write_text("spec,one\n" + body, encoding="utf-8")
     assert main(["regress", str(table)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {table}: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "error table is empty"),
+    ('spec\n"10,90%"\n', "error table must have a spec column and at least one asset column"),
+    ("spec,one\n", "error table has no data rows"),
+], ids=["empty", "one-column", "header-only"])
+def test_regress_refuses_a_table_with_nothing_to_fit(tmp_path, capsys, text, message):
+    table = tmp_path / "t.csv"
+    table.write_text(text, encoding="utf-8")
+    assert main(["regress", str(table)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_regress_refuses_a_label_backtest_never_writes(tmp_path, capsys):

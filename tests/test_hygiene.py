@@ -4,7 +4,8 @@ No top-level import goes unused, each module imports only the sibling
 modules listed before it in ``LAYERS``, so no import cycle can form, and no
 function rebinds module state other than the names in ``GLOBALS``, which are none.  Every
 module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
-and no ``re.compile`` pattern needs the 3.11 regex syntax.  ``ingestion`` reads
+and no ``re.compile`` pattern needs the 3.11 regex syntax or holds ``\\d`` or
+``\\w``, which match non-ASCII digits and letters too.  ``ingestion`` reads
 files in one place, the loop of ``_read_panel``, so no file is read twice;
 parses text in one place, ``_parse``, the only caller of the fast path and the
 row loop, so no file is parsed twice; makes returns in that loop and in
@@ -130,25 +131,30 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def compiled_patterns(source: str) -> list[str]:
+    """The pattern literals of the ``re.compile`` calls in ``source``."""
+    return [
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "compile"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ]
+
+
 def newer_regex_syntax(source: str) -> list[str]:
     """``re.compile`` pattern literals holding a possessive quantifier or an atomic group, which need Python 3.11."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "compile"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "re"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            pattern = node.args[0].value
-            # escapes and character classes hold literal characters, not quantifiers
-            bare = re.sub(r"\[\^?\]?[^\]]*\]", "x", re.sub(r"\\.", "x", pattern))
-            if re.search(r"[*+?}]\+|\(\?>", bare):
-                found.append(pattern)
+    for pattern in compiled_patterns(source):
+        # escapes and character classes hold literal characters, not quantifiers
+        bare = re.sub(r"\[\^?\]?[^\]]*\]", "x", re.sub(r"\\.", "x", pattern))
+        if re.search(r"[*+?}]\+|\(\?>", bare):
+            found.append(pattern)
     return found
 
 
@@ -167,6 +173,33 @@ def test_newer_regex_syntax_finds_possessive_and_atomic_patterns():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_newer_regex_syntax(path):
     assert newer_regex_syntax(path.read_text(encoding="utf-8")) == []
+
+
+def unicode_classes(source: str) -> list[str]:
+    """``re.compile`` pattern literals holding ``\\d``, ``\\w`` or their negations: on text they match any Unicode
+    digit or word character, so ``\\d`` takes ``２`` and an ASCII-only check must spell ``[0-9]``."""
+    return [
+        pattern for pattern in compiled_patterns(source)
+        if {"\\d", "\\D", "\\w", "\\W"} & set(re.findall(r"\\.", pattern, re.S))
+    ]
+
+
+def test_unicode_classes_finds_digit_and_word_escapes():
+    source = (
+        "import re\n"
+        "A = re.compile(r'^\\d{4}$')\n"
+        "B = re.compile(r'[\\w.]+')\n"
+        "C = re.compile(r'a\\W')\n"
+        "D = re.compile(r'\\\\d[0-9]\\\\w')\n"
+        "E = re.compile(r'[0-9]{4}-[a-z_]\\s')\n"
+        "F = re.search(r'\\d', '1')\n"
+    )
+    assert unicode_classes(source) == ["^\\d{4}$", "[\\w.]+", "a\\W"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_unicode_classes(path):
+    assert unicode_classes(path.read_text(encoding="utf-8")) == []
 
 
 def name_uses(source: str, name: str) -> list[str]:
@@ -237,10 +270,11 @@ def test_ingestion_parses_text_in_one_place():
 
 def test_ingestion_keeps_dates_of_column_text_in_one_place():
     # a plain file's dates stay its checked date column; only _Dates' builder turns that text into kept
-    # dates, on first use, so no reader path builds a calendar of dates again.  _parse_plain converts a
-    # chunk's cells off the calendar only to check them, and the row loop builds its dates record by record
+    # dates, on first use, so no reader path builds a calendar of dates again.  _Dates' constructor names the
+    # date types only to check the dates it is given, _parse_plain converts a chunk's cells off the calendar
+    # only to check them, and the row loop builds its dates record by record
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "dt") == [
-        "_built", "_parse_plain/while", "_row_loop/for",
+        "__init__/for", "__init__/for", "_built", "_parse_plain/while", "_row_loop/for",
     ]
 
 

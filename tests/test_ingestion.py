@@ -25,7 +25,7 @@ from histrisk import (
     rolling_var_forecasts,
     to_returns,
 )
-from histrisk.ingestion import _NO_CALENDAR, _parse, _parse_plain, _read_panel, _row_loop
+from histrisk.ingestion import _parse, _parse_plain, _read_panel, _row_loop
 
 
 def test_parse_prices_minimal():
@@ -213,6 +213,21 @@ def test_series_types_share_one_check(series_type, field, asset_id, dates, value
         series_type(asset_id, dates, np.array(values))
 
 
+@pytest.mark.parametrize("series_type", [PriceSeries, ReturnSeries], ids=["prices", "returns"])
+@pytest.mark.parametrize("dates, message", [
+    ([None], "dates[0] must be a datetime.date, got None"),
+    (list(range(30)), "dates[0] must be a datetime.date, got 0"),
+    (["2020-01-01", "2020-01-02"], "dates[0] must be a datetime.date, got '2020-01-01'"),
+    ([dt.date(2019, 12, 31), dt.datetime(2020, 1, 1, 9), dt.datetime(2020, 1, 1, 17)],
+     "dates[1] must be a datetime.date, got datetime.datetime(2020, 1, 1, 9, 0)"),
+], ids=["none", "integers", "iso-text", "datetimes-on-one-day"])
+def test_series_types_refuse_dates_that_are_not_dates(series_type, dates, message):
+    # integers and text compare among themselves, and datetimes on one day increase, so only the type check
+    # refuses them; a datetime is a date subclass, but no trading day
+    with pytest.raises(InputError, match=f"^x: {re.escape(message)}$"):
+        series_type("x", dates, np.arange(1.0, len(dates) + 1.0))
+
+
 def test_return_series_has_one_definition():
     # defined in ingestion; the package and backtest re-export that one class
     assert histrisk.ReturnSeries is histrisk.backtest.ReturnSeries is histrisk.ingestion.ReturnSeries
@@ -345,9 +360,9 @@ def test_fast_path_holds_one_chunk_of_cell_strings():
     days = [start + dt.timedelta(days=i) for i in range(rows)]
     text = _returns_text(days, map(repr, np.random.default_rng(36).normal(0.0, 0.01, rows).tolist()))
     budget = 11 * rows + 160 * 1024
-    (calendar, _), miss = _held_above(_NO_CALENDAR, text)
-    (read, _), hit = _held_above(calendar, text)
-    assert read is calendar
+    (calendar, _), miss = _held_above("", text)
+    (read, _), hit = _held_above(calendar._column, text)
+    assert read._column is calendar._column
     assert miss <= budget, f"a calendar miss peaked {miss / 1024:.0f} KiB above its result"
     assert hit <= budget, f"a calendar hit peaked {hit / 1024:.0f} KiB above its result"
 
@@ -372,13 +387,13 @@ def test_default_chunks_match_the_row_loop():
     # the chunk property tests split in chunks of 12 to 80 characters; these texts span real ones: a calendar
     # miss, a hit, then a miss from the second chunk on
     _, _, first, second = _default_chunk_texts()
-    calendar = _NO_CALENDAR
+    calendar = ""
     for text, hit in ((first, False), (first, True), (second, False)):
         read, values = _parse_plain(text, "return", calendar)
         dates, expected = _row_loop(text, "return", "x")
-        assert (read is calendar) == hit
+        assert (read._column is calendar) == hit
         assert read == dates and values.tobytes() == expected.tobytes()
-        calendar = read
+        calendar = read._column
 
 
 @pytest.mark.parametrize("last", ["invalid", "repeated"])
@@ -386,7 +401,7 @@ def test_default_chunks_leave_a_last_chunk_date_to_the_row_loop(last):
     # on a calendar that holds every chunk but the last, a bad date there sends the file to the row loop,
     # which names its line
     days, values, first, _ = _default_chunk_texts()
-    calendar, _ = _parse_plain(first, "return", _NO_CALENDAR)
+    calendar = _parse_plain(first, "return", "")[0]._column
     bad = days[:-1] + [f"{days[-1].year}-02-30" if last == "invalid" else days[-2]]
     text = _returns_text(bad, values)
     assert _parse_plain(text, "return", calendar) is None
@@ -402,15 +417,15 @@ def _read_universe(monkeypatch, texts):
 
 
 def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
-    # 1,000 price files on one 301-day calendar hold one dates object and one
-    # tail between them; each date object alone would cost 32 bytes per row
+    # 1,000 price files on one 301-day calendar hold one date-column string
+    # between them; each date object alone would cost 32 bytes per row
     tracemalloc.start()
     try:
         kept = _read_universe(monkeypatch, universe_texts)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len({id(series.dates) for series in kept}) == 1
+    assert len({id(series.dates._column) for series in kept}) == 1
     assert held <= 4 << 20
 
 
@@ -431,19 +446,59 @@ def test_panel_reader_converts_each_file_alone(monkeypatch, universe_texts):
     kept = _read_universe(monkeypatch, universe_texts)
     assert [series.asset_id for series in kept] == [name[:-4] for name in universe_texts]
     assert calls == {"ReturnSeries": 1_000, "_returns": 1_000}
-    assert len({id(series.dates) for series in kept}) == 1
+    assert len({id(series.dates._column) for series in kept}) == 1
     assert all(not series.returns.flags.writeable and series.returns.base is None for series in kept)
 
 
-def test_price_calendars_differing_in_the_first_date_share_return_dates(monkeypatch):
-    # the second calendar differs from the first in its first date only, so their returns fall on one set of days
+def _dated_text(column, days):
+    return f"date,{column}\n" + "".join(f"{day},{i % 7 + 1}.0\n" for i, day in enumerate(days))
+
+
+def test_panel_reader_keeps_no_previous_calendar(monkeypatch):
+    # two price files of 20,001 days whose date columns differ in their first date alone: once the first series
+    # is dropped, the reader and the second series hold no more than when the columns differ in their last date
+    # too, so nothing of the first file's date column, 11 bytes a day, outlives its series
+    start = dt.date(1950, 1, 2).toordinal()
+    days = [dt.date.fromordinal(start + i) for i in range(20_001)]
+    first_differs = [days[0] - dt.timedelta(days=1)] + days[1:]
+    both_differ = first_differs[:-1] + [days[-1] + dt.timedelta(days=1)]
+
+    def held(second):
+        texts = {"a.csv": _dated_text("price", days), "b.csv": _dated_text("price", second)}
+        monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
+        tracemalloc.start()
+        try:
+            reader = _read_panel([Path("a.csv"), Path("b.csv")], ReturnMethod.LOG)
+            next(reader)  # the first series, dropped at once
+            kept = next(reader)
+            assert len(kept) == 20_000
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held(first_differs)  # the first read also fills caches that outlive it
+    first_only, both = held(first_differs), held(both_differ)
+    # NumPy's own small allocations vary by up to about 100 bytes between reads; a kept column is 215 KiB
+    assert first_only <= both + 1024, f"held {first_only / 1024:.0f} KiB against {both / 1024:.0f} KiB"
+
+
+@pytest.mark.parametrize("method", [ReturnMethod.LOG, None], ids=["prices", "returns"])
+def test_calendar_hits_hold_the_first_files_date_column(monkeypatch, method):
+    # each file after the first on a calendar holds that first file's date-column string, not an equal copy; a
+    # file the row loop reads between them leaves the calendar as it was, and a file off it starts a new one
+    column = "return" if method is None else "price"
+    one = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(5)]
+    two = one[:-1] + [one[-1] + dt.timedelta(days=1)]
     texts = {
-        f"{name}.csv": "date,price\n" + "".join(f"2000-01-{day:02d},{day}.0\n" for day in days)
-        for name, days in (("a", (3, 5, 6)), ("b", (4, 5, 6)), ("c", (2, 5, 6)), ("d", (2, 4, 6)))
+        f"{name}.csv": _dated_text(column, days)
+        for name, days in (("a", one), ("b", one), ("quoted", one), ("c", one), ("d", two), ("e", two))
     }
-    a, b, c, d = _read_universe(monkeypatch, texts)
-    assert a.dates is b.dates is c.dates == (dt.date(2000, 1, 5), dt.date(2000, 1, 6))
-    assert d.dates == (dt.date(2000, 1, 4), dt.date(2000, 1, 6))
+    texts["quoted.csv"] = texts["quoted.csv"].replace(",2.0\n", ',"2.0"\n')
+    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
+    a, b, quoted, c, d, e = _read_panel(list(map(Path, texts)), method)
+    assert quoted.dates._column is None and quoted.dates == a.dates
+    assert b.dates._column is a.dates._column and c.dates._column is a.dates._column
+    assert e.dates._column is d.dates._column != a.dates._column
 
 
 PANEL_TEXT ="date,price\n2020-01-01,1.0\n2020-01-02,2.0\n2020-01-03,3.0\n"

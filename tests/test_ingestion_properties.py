@@ -28,7 +28,7 @@ from histrisk import (
     parse_returns,
     to_returns,
 )
-from histrisk.ingestion import _NO_CALENDAR, _parse_plain, _read_panel, _row_loop
+from histrisk.ingestion import _parse_plain, _read_panel, _row_loop
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -117,7 +117,7 @@ def _fast(text, column):
 
     The fast path takes only what the series type accepts, so building the series raises nothing.
     """
-    plain = _parse_plain(text, column, _NO_CALENDAR)
+    plain = _parse_plain(text, column, "")
     return None if plain is None else PARSERS[column][1]("x", *plain)
 
 
@@ -305,7 +305,7 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
     # small chunks end a calendar match mid-file, in any chunk
     column, texts = panel
     with mock.patch.object(ingestion, "_CHUNK_CHARS", chunk_chars):
-        calendar = _NO_CALENDAR
+        calendar = ""
         for text in texts:
             outcome = _outcome(_public, text, column)
             assert outcome == _outcome(_row_loop_alone, text, column)
@@ -314,18 +314,18 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
                 continue
             read, values = _parse_plain(text, column, calendar)
             assert (read, values.tolist()) == outcome
-            if read == calendar:
-                assert read is calendar
+            if read._column == calendar:
+                assert read._column is calendar
             assert read._column == ",".join(map(dt.date.isoformat, read))
             assert read.tail == read[1:]
             if column == "price" and len(read) > 1:
                 assert to_returns(PriceSeries("x", read, values)).dates is read.tail
-            calendar = read
+            calendar = read._column
         series = _assert_panel_matches_alone(column, texts, method)
-    # consecutive series on one calendar hold one dates object: a price file's returns, its tail
+    # consecutive series with equal date columns share one string: a price file's returns hold it one date on
     for first, second in zip(series or (), (series or ())[1:]):
-        if first.dates == second.dates:
-            assert first.dates is second.dates
+        if first.dates._column == second.dates._column:
+            assert first.dates._column is second.dates._column
 
 
 # How a file of a panel relates to the panel's calendar; "same" is drawn most, so files share it.
@@ -411,11 +411,12 @@ def test_text_date_checks_leave_the_row_loop_message(monkeypatch, case, message)
     # (nor of its own dates), and the row loop, alone, names the line
     monkeypatch.setattr(ingestion, "_CHUNK_CHARS", 12)
     *before, text = TEXT_CHECKS[case]
-    calendar = _NO_CALENDAR
+    calendar = ""
     for earlier in before:
-        calendar, _ = _parse_plain(earlier, "return", calendar)
+        read, _ = _parse_plain(earlier, "return", calendar)
+        calendar = read._column
     assert _parse_plain(text, "return", calendar) is None
-    assert calendar._dates is None or calendar is _NO_CALENDAR
+    assert calendar == "" or read._dates is None
     with pytest.raises(InputError, match=f"^x: {re.escape(message)}$"):
         parse_returns(text, "x")
 
@@ -424,8 +425,8 @@ def test_partial_calendar_hit_builds_no_dates(monkeypatch):
     # a file that leaves the calendar after its first dates neither copies nor builds the calendar's dates
     monkeypatch.setattr(ingestion, "_CHUNK_CHARS", 12)
     first, second = _iso(CALENDAR, CALENDAR[:2] + ("2019-03-05", "2019-03-06"))
-    calendar, _ = _parse_plain(first, "return", _NO_CALENDAR)
-    read, _ = _parse_plain(second, "return", calendar)
+    calendar, _ = _parse_plain(first, "return", "")
+    read, _ = _parse_plain(second, "return", calendar._column)
     assert calendar._dates is None and read._dates is None
     assert read._column == "2019-02-26,2019-02-27,2019-03-05,2019-03-06"
     assert read == tuple(map(dt.date.fromisoformat, CALENDAR[:2] + ("2019-03-05", "2019-03-06")))
@@ -434,8 +435,8 @@ def test_partial_calendar_hit_builds_no_dates(monkeypatch):
 def test_shared_calendar_keeps_the_date_prefix_check():
     # the trap's even cells are exactly the calendar 2020-01-01, 2020-01-02 and
     # its commas match its newlines; only the line-prefix check turns it away
-    calendar, _ = _parse_plain("date,return\n2020-01-01,1\n2020-01-02,2\n", "return", _NO_CALENDAR)
+    calendar, _ = _parse_plain("date,return\n2020-01-01,1\n2020-01-02,2\n", "return", "")
     trap = "date,return\n2020-01-01\n5,2020-01-02,7\n"
-    assert _parse_plain(trap, "return", calendar) is None
+    assert _parse_plain(trap, "return", calendar._column) is None
     with pytest.raises(InputError, match="^x: line 2: expected 2 fields, got 1$"):
         parse_returns(trap, "x")

@@ -22,6 +22,7 @@ from histrisk import (
     smallest_alpha_quantile,
     student_t_sf,
     tce,
+    to_returns,
     tce_discrete,
     var,
     var_discrete,
@@ -187,6 +188,11 @@ def test_level_validation():
             Level(bad)
 
 
+def test_distribution_names_mismatched_counts():
+    with pytest.raises(InputError, match=r"^got 2 values but 1 probabilities$"):
+        DiscreteDistribution([1.0, 2.0], [1.0])
+
+
 def test_distribution_validation():
     with pytest.raises(InputError):
         DiscreteDistribution([1.0], [0.5])
@@ -322,11 +328,16 @@ def test_axiom_report_validation():
     (lambda: student_t_sf(1.0, float("inf")), "degrees of freedom must be a positive integer, got inf"),
     (lambda: quantile_index("x", 0.9, LARGEST), "sample size must be an integer, got 'x'"),
     (lambda: quantile_index(10.5, 0.9, LARGEST), "sample size must be an integer, got 10.5"),
+    (lambda: quantile_index(0, 0.9, LARGEST), "sample size must be at least 1, got 0"),
+    (lambda: quantile_index(5, 0.9, "largest"), "unknown quantile convention: 'largest'"),
+    (lambda: to_returns(PriceSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [1.0, 2.0]), "log"),
+     "unknown return method: 'log'"),
     (lambda: axiom_report(TEN, 0.9, shift="x", scale=1.0), "shift must be finite, got 'x'"),
     (lambda: axiom_report(TEN, 0.9, shift=0.0, scale="x"), "scale must be finite and nonnegative, got 'x'"),
 ], ids=[
     "duration-inf", "duration-nan", "duration-str", "duration-none", "level-str", "level-none", "level-list",
-    "t-str", "df-str", "df-inf", "size-str", "size-fraction", "shift-str", "scale-str",
+    "t-str", "df-str", "df-inf", "size-str", "size-fraction", "size-zero", "convention-str", "method-str",
+    "shift-str", "scale-str",
 ])
 def test_scalar_parameters_raise_input_error(call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

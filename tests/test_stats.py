@@ -266,6 +266,12 @@ def test_t_sf_strictly_decreasing():
         assert all(hi > lo for hi, lo in zip(values, values[1:]))
 
 
+def test_t_sf_far_tail_is_zero():
+    # t * t overflows to inf, so x = df / (df + t * t) underflows to 0 and the incomplete beta is 0 there
+    assert student_t_sf(1e200, 5) == 0.0
+    assert student_t_sf(-1e200, 5) == 1.0
+
+
 def test_t_sf_validation():
     with pytest.raises(InputError):
         student_t_sf(1.0, 0)
