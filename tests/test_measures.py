@@ -22,8 +22,8 @@ from histrisk import (
     smallest_alpha_quantile,
     student_t_sf,
     tce,
-    to_returns,
     tce_discrete,
+    to_returns,
     var,
     var_discrete,
 )
