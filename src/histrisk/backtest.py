@@ -164,11 +164,13 @@ def parse_label(label: str) -> tuple[int, float]:
 
     Only a label ``RiskSpec.label()`` can write is read: a duration of at least 2 and a percentage in (0, 100]
     that render back to ``label`` itself, so ``20,95%%``, ``+20,95%``, ``2_0,95%`` and ``20,nan%`` are refused.
+    So is a duration beyond the float range, which ``quantile_index`` refuses and a regression cannot fit.
     """
     duration_text, _, percent_text = label.partition(",")
     try:
         duration, percent = int(duration_text), float(percent_text[:-1])
-    except ValueError:
+        float(duration)  # OverflowError beyond the float range
+    except (ValueError, OverflowError):
         pass
     else:
         if duration >= 2 and 0.0 < percent <= 100.0 and f"{duration},{percent:g}%" == label:
@@ -471,17 +473,18 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     ``series_set`` may be any iterable, and is consumed once: the series are
     scored a stack at a time as they arrive, and none is kept, so a generator
     such as the panel reader is never held whole.  The checks run in this
-    order: the specs first (at least one, and labels that name them alone),
-    before any series is taken; then, after the pass, at least one series and
-    no repeated asset id.
+    order: the specs first (at least one, each with an order statistic, which
+    a duration beyond the float range has not, and labels that name them
+    alone), before any series is taken; then, after the pass, at least one
+    series and no repeated asset id.
     """
     spec_list = list(dict.fromkeys(specs))
     if not spec_list:
         raise InputError("at least one risk spec is required")
     spec_list.sort(key=lambda sp: (sp.duration_n, sp.level.alpha, sp.conv.value, sp.strict_violation))
+    ks = [quantile_index(spec.duration_n, spec.level, spec.conv) for spec in spec_list]
     _check_labels(spec_list)
 
-    ks = [quantile_index(spec.duration_n, spec.level, spec.conv) for spec in spec_list]
     ids: list[str] = []
     var_rows: list[VarBacktestRow] = []
     tce_rows: list[TceBacktestRow] = []

@@ -1,15 +1,17 @@
 """Command-line interface: backtest reports, error regressions, axiom demo.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal error.  All four
-report files are rendered and written to unique temp files in the output
-directory before any is renamed over its target, so a run failing before the
-renames (bad input, a directory at a target path, a failed write) leaves the
-old files byte for byte and no temp file.  Each rename is atomic, and runs
-sharing an output directory take turns: each holds an exclusive flock on the
-directory from its first temp write to its last rename, so their renames never
-interleave.  The set is still not atomic: a reader can see a mixed set while
-the renames run.  Output is byte-deterministic: fixed cell formats, sorted rows
-and columns, no timestamps.
+Exit codes: 0 success, 1 invalid input or usage, 2 internal error.  One
+function, ``_report_files``, decides which four report files a backtest writes
+and what each holds: three tables of a row per spec and a column per asset, and
+``metadata.txt``.  All four are built in full and written to unique temp files
+in the output directory before any is renamed over its target, so a run failing
+before the renames (bad input, a directory at a target path, a failed write)
+leaves the old files byte for byte and no temp file.  Each rename is atomic,
+and runs sharing an output directory take turns: each holds an exclusive flock
+on the directory from its first temp write to its last rename, so their renames
+never interleave.  The set is still not atomic: a reader can see a mixed set
+while the renames run.  Output is byte-deterministic: fixed cell formats,
+sorted rows and columns, no timestamps.
 """
 
 from __future__ import annotations
@@ -94,30 +96,18 @@ def _build_specs(args: argparse.Namespace) -> list[RiskSpec]:
     return [RiskSpec(n, alpha, conv, strict) for n, alpha in pairs]
 
 
-def _fmt_rate(value: float) -> str:
-    return f"{value + 0.0:.6f}"
-
-
-def _fmt_error(value: float) -> str:
-    return f"{value + 0.0:+.6f}"
-
-
-def _render_csv(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, Sequence[str]]]) -> str:
+def _render_csv(grid: Sequence[Sequence[str]]) -> str:
     import csv  # imported here: only CSV output needs the writer
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner, *columns])
-    for label, cells in rows:
-        writer.writerow([label, *cells])
+    csv.writer(buf, lineterminator="\n").writerows(grid)
     return buf.getvalue()
 
 
-def _render_md(corner: str, columns: Sequence[str], rows: Sequence[tuple[str, Sequence[str]]]) -> str:
-    grid = [[corner, *columns], *([label, *cells] for label, cells in rows)]
+def _render_md(grid: Sequence[Sequence[str]]) -> str:
     # a pipe inside a cell is written \|, GFM's escape for it, so it does not split the cell
     lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |" for row in grid]
-    lines.insert(1, "|" + "|".join(["---"] * (len(columns) + 1)) + "|")
+    lines.insert(1, "|" + "|".join(["---"] * len(grid[0])) + "|")
     return "\n".join(lines) + "\n"
 
 
@@ -153,55 +143,43 @@ def _write_all(out_dir: Path, files: dict[str, str]) -> None:
         os.close(lock)  # and with it the lock
 
 
-def _spec_positions(report: SuiteReport) -> dict[int, int]:
-    """The position in ``report.specs`` of each spec, keyed by its ``id``.
-
-    ``run_suite``'s rows hold the very specs of ``report.specs``, so a row's spec is looked up by identity:
-    a RiskSpec's generated hash costs about 2 us, more than the rest of a cell.
-    """
-    return {id(spec): j for j, spec in enumerate(report.specs)}
-
-
-def _render_tables(report: SuiteReport) -> dict[str, list[tuple[str, list[str]]]]:
-    """Cell grids for the three tables, keyed by table basename; a pair with no row reads ``skipped``.
-
-    A grid holds a row per spec and a column per asset, and each report row fills the cell at its positions.
-    """
-    position = _spec_positions(report)
-    column = {asset: i for i, asset in enumerate(report.asset_ids)}
-    grids = {
-        name: [["skipped"] * len(column) for _ in report.specs]
-        for name in ("tce_nonexistence", "var_errors", "tce_errors")
-    }
-    for row in report.var_rows:
-        grids["var_errors"][position[id(row.spec)]][column[row.asset_id]] = _fmt_error(row.relative_error)
-    for row in report.tce_rows:
-        j, i = position[id(row.spec)], column[row.asset_id]
-        grids["tce_nonexistence"][j][i] = _fmt_rate(row.nonexistence_rate)
-        grids["tce_errors"][j][i] = "NA" if row.mean_error is None else _fmt_error(row.mean_error)
-    labels = [spec.label() for spec in report.specs]
-    return {name: list(zip(labels, grid)) for name, grid in grids.items()}
-
-
 def _input_names(paths: Sequence[Path]) -> str:
     """The file names of ``paths``, sorted and shell-quoted: the metadata's ``inputs``."""
-    import shlex  # imported here, as in _render_metadata
+    import shlex  # imported here, as in _report_files
 
     return " ".join(map(shlex.quote, sorted(path.name for path in paths)))
 
 
-def _render_metadata(report: SuiteReport, args: argparse.Namespace, inputs: str) -> str:
-    """The metadata file of a backtest whose ``_input_names`` are ``inputs``.
+def _report_files(report: SuiteReport, args: argparse.Namespace, inputs: str) -> dict[str, str]:
+    """The four report files of a backtest whose ``_input_names`` are ``inputs``, keyed by file name.
 
-    Each spec label and asset id is formatted once.
+    Each table is a grid of a header row, then a row per spec and a column per asset, and each report row
+    fills the cell at its positions; a pair with no row reads ``skipped``.  Each spec label and asset id is
+    formatted once.  ``run_suite``'s rows hold the very specs of ``report.specs``, so a row's spec is looked
+    up by identity: a RiskSpec's generated hash costs about 2 us, more than the rest of a cell.
     """
     # imported here: at module load, shlex raised the peak RSS of a 10 x 5,000
     # return backtest by 0.15-0.29 MB (2-CPU x86 host, five checkout paths)
     import shlex
 
-    first = report.specs[0]
     labels = [spec.label() for spec in report.specs]
-    position = _spec_positions(report)
+    # row 0 and column 0 of a grid hold the header and the labels, so the positions count from 1
+    position = {id(spec): j for j, spec in enumerate(report.specs, 1)}
+    column = {asset: i for i, asset in enumerate(report.asset_ids, 1)}
+    grids = {
+        name: [["spec", *report.asset_ids], *([label] + ["skipped"] * len(column) for label in labels)]
+        for name in ("tce_nonexistence", "var_errors", "tce_errors")
+    }
+    for row in report.var_rows:
+        grids["var_errors"][position[id(row.spec)]][column[row.asset_id]] = f"{row.relative_error + 0.0:+.6f}"
+    for row in report.tce_rows:
+        j, i = position[id(row.spec)], column[row.asset_id]
+        grids["tce_nonexistence"][j][i] = f"{row.nonexistence_rate + 0.0:.6f}"
+        grids["tce_errors"][j][i] = "NA" if row.mean_error is None else f"{row.mean_error + 0.0:+.6f}"
+    render = _render_csv if args.format == "csv" else _render_md
+    files = {f"{name}.{args.format}": render(grid) for name, grid in grids.items()}
+
+    first = report.specs[0]
     quoted = {asset: shlex.quote(asset) for asset in report.asset_ids}
     lines = [
         f"tool = histrisk {__version__}",
@@ -215,10 +193,11 @@ def _render_metadata(report: SuiteReport, args: argparse.Namespace, inputs: str)
         "specs = " + " ".join(labels),
     ]
     lines += [
-        f"skipped = {quoted[skip.asset_id]} {labels[position[id(skip.spec)]]} {skip.kind}: {skip.reason}"
+        f"skipped = {quoted[skip.asset_id]} {labels[position[id(skip.spec)] - 1]} {skip.kind}: {skip.reason}"
         for skip in report.skips
     ]
-    return "\n".join(lines) + "\n"
+    files["metadata.txt"] = "\n".join(lines) + "\n"
+    return files
 
 
 def _shown(path: Path) -> str:
@@ -245,10 +224,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    render = _render_csv if args.format == "csv" else _render_md
-    tables = _render_tables(report)
-    files = {f"{name}.{args.format}": render("spec", report.asset_ids, rows) for name, rows in tables.items()}
-    files["metadata.txt"] = _render_metadata(report, args, inputs)
+    files = _report_files(report, args, inputs)
     _write_all(out_dir, files)
     for name in files:
         print(f"wrote {_shown(out_dir / name)}")
@@ -261,13 +237,16 @@ def _read_error_table(table: str, asset_flags: list[str] | None) -> dict[str, li
     records = _csv_records(_read_text(path), str(path))
     _, header = next(records, (None, None))
     if header is None:
-        raise InputError("error table is empty")
+        raise InputError(f"{path}: error table is empty")
     if header and header[0].startswith("|"):
-        raise InputError("error table is Markdown; regress reads the CSV tables of 'backtest --format csv'")
+        raise InputError(f"{path}: error table is Markdown; regress reads the CSV tables of 'backtest --format csv'")
     if len(header) < 2:
-        raise InputError("error table must have a spec column and at least one asset column")
+        raise InputError(f"{path}: error table must have a spec column and at least one asset column")
     assets = [cell.strip() for cell in header[1:]]
-    _reject_repeats(assets, "asset columns")
+    try:
+        _reject_repeats(assets, "asset columns")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     selected = assets
     if asset_flags:
         selected = list(dict.fromkeys(name for raw in asset_flags for name in raw.split(",") if name))
@@ -294,7 +273,7 @@ def _read_error_table(table: str, asset_flags: list[str] | None) -> dict[str, li
                 raise InputError(f"{path}: line {line}: unparseable cell {token!r} in column {name!r}") from None
             per_asset[name].append((error, float(duration), level))
     if line == 1:  # the header's line: no record followed it
-        raise InputError("error table has no data rows")
+        raise InputError(f"{path}: error table has no data rows")
     return per_asset
 
 

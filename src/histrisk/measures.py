@@ -117,7 +117,10 @@ def quantile_index(n: int, level: Level | float, conv: QuantileConvention) -> in
     if size < 1:
         raise InputError(f"sample size must be at least 1, got {n}")
     alpha = _as_level(level).alpha
-    t = (1.0 - alpha) * size
+    try:
+        t = (1.0 - alpha) * size
+    except OverflowError:
+        raise InputError(f"sample size must be within the float range, got {size}") from None
     nearest = round(t)
     if abs(t - nearest) <= _TIE_EPS:
         t = float(nearest)

@@ -44,7 +44,8 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
 
     ``rows`` is a sequence of (error, duration, level) triples; at least four
     are required so the residual has positive degrees of freedom.  P-values are
-    two-sided t tests of each slope against zero.
+    two-sided t tests of each slope against zero.  When every error is equal,
+    the intercept is that error, both slopes are exactly 0 and both p-values 1.
     """
     try:
         arr = np.asarray(rows, dtype=float)
@@ -76,6 +77,10 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
                 f"design matrix is rank deficient: column '{_DESIGN_COLUMNS[j]}' "
                 f"is linearly dependent on the preceding columns"
             )
+    if (arr[:, 0] == arr[0, 0]).all():
+        # every error equal: the fit is exact, so the slopes are exactly 0 and, as slope_p has it for a zero
+        # standard error, their p-values 1; a fit of them would give slopes and p-values of rounding noise
+        return RegressionSummary(float(arr[0, 0]) + 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, m - 3)
     r_inv = np.linalg.inv(r)
     coef = r_inv @ (q.T @ y)
 

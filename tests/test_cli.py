@@ -1,3 +1,4 @@
+import argparse
 import csv
 import datetime as dt
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import histrisk
 import histrisk.cli as cli
 import histrisk.ingestion
 from histrisk import RiskSpec, SuiteReport, TceBacktestRow, VarBacktestRow
@@ -119,7 +121,10 @@ def test_backtest_markdown_format(tmp_path, capsys):
     capsys.readouterr()
     # regress reads only the CSV tables
     assert main(["regress", str(out / "var_errors.md")]) == 1
-    assert "Markdown" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {out / 'var_errors.md'}: error table is Markdown; regress reads the CSV tables of "
+        "'backtest --format csv'\n"
+    )
 
 
 def test_backtest_markdown_escapes_pipes_in_asset_ids(tmp_path, capsys):
@@ -141,7 +146,8 @@ def test_backtest_markdown_escapes_pipes_in_asset_ids(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_render_tables_fills_each_cell_at_its_spec_and_asset():
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_report_files_fill_each_cell_at_its_spec_and_asset(fmt):
     # "a" is skipped for the middle spec's VaR alone, and one TCE cell has no mean error
     s10, s20, s2095 = specs = (RiskSpec(10, 0.9), RiskSpec(20, 0.9), RiskSpec(20, 0.95))
     report = SuiteReport(
@@ -161,22 +167,40 @@ def test_render_tables_fills_each_cell_at_its_spec_and_asset():
         ),
         skips=(),
     )
-    assert cli._render_tables(report) == {
-        "tce_nonexistence": [
-            ("10,90%", ["0.250000", "1.000000"]),
-            ("20,90%", ["skipped", "skipped"]),
-            ("20,95%", ["skipped", "0.000000"]),
-        ],
-        "var_errors": [
-            ("10,90%", ["+0.250000", "+0.000000"]),
-            ("20,90%", ["skipped", "+1.000000"]),
-            ("20,95%", ["-0.333333", "-1.000000"]),
-        ],
-        "tce_errors": [
-            ("10,90%", ["-0.012500", "NA"]),
-            ("20,90%", ["skipped", "skipped"]),
-            ("20,95%", ["skipped", "+0.500000"]),
-        ],
+    args = argparse.Namespace(prices=None, method="simple", format=fmt)
+    tables = {
+        "csv": {
+            "tce_nonexistence.csv": 'spec,a,b\n"10,90%",0.250000,1.000000\n"20,90%",skipped,skipped\n'
+                                    '"20,95%",skipped,0.000000\n',
+            "var_errors.csv": 'spec,a,b\n"10,90%",+0.250000,+0.000000\n"20,90%",skipped,+1.000000\n'
+                              '"20,95%",-0.333333,-1.000000\n',
+            "tce_errors.csv": 'spec,a,b\n"10,90%",-0.012500,NA\n"20,90%",skipped,skipped\n'
+                              '"20,95%",skipped,+0.500000\n',
+        },
+        "md": {
+            "tce_nonexistence.md": "| spec | a | b |\n|---|---|---|\n| 10,90% | 0.250000 | 1.000000 |\n"
+                                   "| 20,90% | skipped | skipped |\n| 20,95% | skipped | 0.000000 |\n",
+            "var_errors.md": "| spec | a | b |\n|---|---|---|\n| 10,90% | +0.250000 | +0.000000 |\n"
+                             "| 20,90% | skipped | +1.000000 |\n| 20,95% | -0.333333 | -1.000000 |\n",
+            "tce_errors.md": "| spec | a | b |\n|---|---|---|\n| 10,90% | -0.012500 | NA |\n"
+                             "| 20,90% | skipped | skipped |\n| 20,95% | skipped | +0.500000 |\n",
+        },
+    }[fmt]
+    files = cli._report_files(report, args, "a.csv b.csv")
+    assert list(files) == [*tables, "metadata.txt"]
+    assert files == {
+        **tables,
+        "metadata.txt": (
+            f"tool = histrisk {histrisk.__version__}\n"
+            "command = backtest\n"
+            "convention = largest\n"
+            "violation = strict\n"
+            "return_method = precomputed\n"
+            f"format = {fmt}\n"
+            "assets = a b\n"
+            "inputs = a.csv b.csv\n"
+            "specs = 10,90% 20,90% 20,95%\n"
+        ),
     }
 
 
@@ -473,6 +497,17 @@ def test_backtest_names_a_spec_it_cannot_read(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_backtest_refuses_a_duration_beyond_the_float_range(tmp_path, capsys):
+    # its order statistic is (1 - alpha) * n, which no float holds
+    write_returns_csv(tmp_path / "a.csv", np.random.default_rng(67).normal(0, 0.01, 50))
+    duration = 10**400
+    spec = f"{duration}:0.9"
+    rc = main(["backtest", "--returns", str(tmp_path / "a.csv"), "--spec", spec, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sample size must be within the float range, got {duration}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_backtest_duplicate_asset_stems(tmp_path, capsys):
     rng = np.random.default_rng(68)
     (tmp_path / "sub").mkdir()
@@ -579,7 +614,7 @@ def test_regress_rejects_duplicate_asset_columns(tmp_path, capsys):
     write_error_table(table, ["a", "b", " a"], lambda n, a, i: 0.01 * n - 0.5 * a + 0.1 * i)
     rc = main(["regress", str(table)])
     assert rc == 1
-    assert capsys.readouterr().err == "error: duplicate asset columns: a\n"
+    assert capsys.readouterr().err == f"error: {table}: duplicate asset columns: a\n"
 
 
 def test_regress_skips_na_and_skipped_cells(tmp_path, capsys):
@@ -667,8 +702,9 @@ def test_regress_invalid_spec_label(tmp_path, capsys):
     ('"20,9_5%",+0.1\n', "line 2: invalid spec label '20,9_5%'"),
     ('"2_0,95%",+0.1\n', "line 2: invalid spec label '2_0,95%'"),
     ('"+20,95%",+0.1\n', "line 2: invalid spec label '+20,95%'"),
+    (f'"{10**400},99%",+0.1\n', f"line 2: invalid spec label '{10**400},99%'"),
 ], ids=["after-multiline-cell", "huge-cell", "bad-cell", "doubled-percent", "level-underscore",
-        "duration-underscore", "duration-sign"])
+        "duration-underscore", "duration-sign", "duration-beyond-float"])
 def test_regress_input_errors_name_table_and_line(tmp_path, capsys, body, message):
     table = tmp_path / "t.csv"
     table.write_text("spec,one\n" + body, encoding="utf-8")
@@ -685,7 +721,7 @@ def test_regress_refuses_a_table_with_nothing_to_fit(tmp_path, capsys, text, mes
     table = tmp_path / "t.csv"
     table.write_text(text, encoding="utf-8")
     assert main(["regress", str(table)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {table}: {message}\n"
 
 
 def test_regress_refuses_a_label_backtest_never_writes(tmp_path, capsys):

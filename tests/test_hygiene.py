@@ -280,11 +280,18 @@ def test_ingestion_keeps_dates_of_column_text_in_one_place():
 
 def test_backtest_builds_each_input_path_once():
     # _cmd_backtest makes one Path per input and one for --out; the name check, _read_panel and
-    # _render_metadata take those, and build none (_read_error_table is regress's one table)
+    # _input_names take those, and build none (_read_error_table is regress's one table)
     assert name_uses((SRC / "cli.py").read_text(encoding="utf-8"), "Path") == [
         "_cmd_backtest", "_cmd_backtest", "_read_error_table",
     ]
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "Path") == []
+
+
+def test_backtest_builds_its_report_files_in_one_place():
+    # which files a backtest writes and what they hold is decided in _report_files alone
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_render_csv") == name_uses(source, "_render_md") == ["_report_files"]
+    assert name_uses(source, "_report_files") == ["_cmd_backtest"]
 
 
 def call_arguments_of(source: str, name: str) -> list[str]:

@@ -329,6 +329,7 @@ def test_axiom_report_validation():
     (lambda: quantile_index("x", 0.9, LARGEST), "sample size must be an integer, got 'x'"),
     (lambda: quantile_index(10.5, 0.9, LARGEST), "sample size must be an integer, got 10.5"),
     (lambda: quantile_index(0, 0.9, LARGEST), "sample size must be at least 1, got 0"),
+    (lambda: quantile_index(10**400, 0.9, LARGEST), f"sample size must be within the float range, got {10**400}"),
     (lambda: quantile_index(5, 0.9, "largest"), "unknown quantile convention: 'largest'"),
     (lambda: to_returns(PriceSeries("x", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [1.0, 2.0]), "log"),
      "unknown return method: 'log'"),
@@ -336,7 +337,8 @@ def test_axiom_report_validation():
     (lambda: axiom_report(TEN, 0.9, shift=0.0, scale="x"), "scale must be finite and nonnegative, got 'x'"),
 ], ids=[
     "duration-inf", "duration-nan", "duration-str", "duration-none", "level-str", "level-none", "level-list",
-    "t-str", "df-str", "df-inf", "size-str", "size-fraction", "size-zero", "convention-str", "method-str",
+    "t-str", "df-str", "df-inf", "size-str", "size-fraction", "size-zero", "size-beyond-float",
+    "convention-str", "method-str",
     "shift-str", "scale-str",
 ])
 def test_scalar_parameters_raise_input_error(call, message):
