@@ -12,15 +12,16 @@ judged against a forecast computed from the n days strictly before it.
 
 ``run_suite`` ranks a stack of equal-length series (below) at a time, then
 scores its pairs in one walk, in report order.  A length skip, ``N returns <
-required M``, holds for every series of a stack, so each spec's VaR and TCE
-skip reasons are built once per stack, beside the spec's column of the stack's
-violation counts.  Each series then visits the specs once: a spec gives a VaR
-row, from the ``_var_row`` that ``var_backtest`` also uses, or a VaR skip, then
-a TCE skip or a row from ``_tce_result``, which raises ``_Skip`` when no block
-has a defined prediction, the one skip that depends on the data.  Each skip is
-recorded as a SkippedPair.  ``var_backtest``, ``tce_backtest`` and
-``rolling_var_forecasts`` score one pair and raise ``_Skip``, the InputError
-that says why the pair cannot be scored, through ``_require``.
+required M`` from ``_shortfall``, holds for every series of a stack, so each
+spec's VaR and TCE skip reasons are built once per stack: ``_var_counts`` gives
+each spec its VaR skip or each series' violation count.  Each series then
+visits the specs once: a spec gives a VaR row, from the ``_var_row`` that
+``var_backtest`` also uses, or a VaR skip, then a TCE skip or a row from
+``_tce_result``, which raises an InputError when no block has a defined
+prediction, the one skip that depends on the data.  Each skip is recorded as a
+SkippedPair.  ``var_backtest``, ``tce_backtest`` and ``rolling_var_forecasts``
+score one pair and raise the InputError that says why the pair cannot be
+scored, through ``_require``.
 
 Both backtests are computed by vectorised kernels rather than per-day loops.
 With q_(k) the 0-based k-th order statistic of the window w preceding day t,
@@ -62,11 +63,11 @@ shorter than about 4,096 cells through up to 128 KiB of buffers, whether or not
 the next returns were broadcast to the tile's shape first, and took 1.5-3x as
 long.  The budgets the tests hold, under tracemalloc: one ``run_suite`` over a
 5,000-day asset on ``DEFAULT_GRID`` peaks at no more than 160 KiB (measured
-143 KiB; the TCE side alone peaks at 132 KiB, below, and the rank pass at 123
+135 KiB; the TCE side alone peaks at 132 KiB, below, and the rank pass at 123
 KiB), and one over 1,000 series of 300 returns at 250:0.99 peaks no more than
-192 KiB above the report it returns (measured 165 KiB, with a 13-series stack),
+192 KiB above the report it returns (measured 152 KiB, with a 13-series stack),
 and no more than 256 KiB when the panel reader feeds it 1,000 such price files
-(measured 187 KiB; holding the series would add 2.4 MB).
+(measured 191 KiB; holding the series would add 2.4 MB).
 ``rolling_var_forecasts`` partitions day chunks of the same windows, a float
 copy of at most 512 KiB.
 
@@ -291,9 +292,9 @@ def _violation_counts(block: np.ndarray, durations: Sequence[int], strict: bool)
     return [np.cumsum(counts, axis=1, out=counts) for counts in rank_counts]
 
 
-def _rank_passes(stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]) -> dict[tuple[int, bool], np.ndarray]:
-    """``_violation_counts`` of ``stack`` by (duration, strictness), row c for series c,
-    for every spec with an evaluation day: one pass per strictness over the whole stack.
+def _var_counts(stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec], ks: Sequence[int]) -> list[list[int] | str]:
+    """Per spec, in order, with k its entry of ``ks``: each series' count of days that violate q_(k), or the
+    stack's VaR length skip.  One pass per strictness ranks the whole stack.
 
     The series in ``stack`` have one length.
     """
@@ -307,7 +308,10 @@ def _rank_passes(stack: Sequence[ReturnSeries], specs: Sequence[RiskSpec]) -> di
         if durations:
             for n, by_column in zip(durations, _violation_counts(block, durations, strict)):
                 counts[n, strict] = by_column
-    return counts
+    return [
+        _shortfall(size, spec.duration_n + 1) or counts[spec.duration_n, spec.strict_violation][:, k].tolist()
+        for spec, k in zip(specs, ks)
+    ]
 
 
 def _stacks(series_set: Iterable[ReturnSeries]) -> Iterator[list[ReturnSeries]]:
@@ -331,20 +335,16 @@ def _stacks(series_set: Iterable[ReturnSeries]) -> Iterator[list[ReturnSeries]]:
         yield stack
 
 
-class _Skip(InputError):
-    """A pair a backtest cannot score: ``run_suite`` records it, the public backtests raise it."""
-
-
 def _shortfall(size: int, days: int) -> str | None:
     """Why a series of ``size`` returns cannot be scored on ``days`` of them, or None when it can."""
     return f"{size} returns < required {days}" if size < days else None
 
 
 def _require(series: ReturnSeries, days: int) -> None:
-    """Raise _Skip unless ``series`` holds at least ``days`` returns."""
+    """Raise InputError unless ``series`` holds at least ``days`` returns."""
     reason = _shortfall(len(series), days)
     if reason:
-        raise _Skip(reason)
+        raise InputError(reason)
 
 
 def rolling_var_forecasts(series: ReturnSeries, spec: RiskSpec) -> list[tuple[dt.date, float]]:
@@ -391,7 +391,7 @@ def _tce_result(
 ) -> TceBacktestRow:
     """The TCE backtest row of one pair, read off the ``_tce_blocks`` of its series and duration.
 
-    k is the spec's ``quantile_index``.  Raises _Skip when no block has a defined prediction.
+    k is the spec's ``quantile_index``.  Raises InputError when no block has a defined prediction.
     """
     rows, means = table
     in_tail = np.less if spec.strict_violation else np.less_equal
@@ -400,7 +400,7 @@ def _tce_result(
     hits = in_tail(rows[1:], q).sum(axis=1)
     evaluated = int(np.count_nonzero(window_tail))
     if evaluated == 0:
-        raise _Skip(
+        raise InputError(
             f"{series.asset_id}: predicted tail expectation undefined for every block "
             f"(duration {spec.duration_n}, level {spec.level.alpha:g}, strict conditioning)"
         )
@@ -420,10 +420,9 @@ def _tce_result(
 
 def var_backtest(series: ReturnSeries, spec: RiskSpec) -> VarBacktestRow:
     """Count daily VaR violations over the evaluation region and compare to 1 - alpha."""
-    _require(series, spec.duration_n + 1)
-    k = quantile_index(spec.duration_n, spec.level, spec.conv)
-    counts = _rank_passes([series], [spec])[spec.duration_n, spec.strict_violation]
-    return _var_row(series, spec, int(counts[0, k]))
+    _require(series, spec.duration_n + 1)  # before quantile_index, which refuses a duration beyond the float range
+    [counts] = _var_counts([series], [spec], [quantile_index(spec.duration_n, spec.level, spec.conv)])
+    return _var_row(series, spec, counts[0])
 
 
 def tce_backtest(series: ReturnSeries, spec: RiskSpec) -> TceBacktestRow:
@@ -490,19 +489,10 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
     tce_rows: list[TceBacktestRow] = []
     skips: list[SkippedPair] = []
     for stack in _stacks(series_set):
-        # a stack's series have one length, so a spec's length skips, each one reason string, are the stack's
-        size = len(stack[0])
-        counts = _rank_passes(stack, spec_list)
-        stack_specs = [  # (spec, k, the stack's violation counts or VaR skip, TCE skip) of each spec, in order
-            (
-                spec,
-                k,
-                _shortfall(size, spec.duration_n + 1) or counts[spec.duration_n, spec.strict_violation][:, k].tolist(),
-                _shortfall(size, 2 * spec.duration_n),
-            )
-            for spec, k in zip(spec_list, ks)
-        ]
-        del counts  # not alive through the TCE tables or the next stack's rank pass
+        # a stack's series have one length, so a spec's length skips, each one reason string, are the stack's;
+        # stack_specs holds (spec, k, the stack's violation counts or VaR skip, TCE skip) of each spec, in order
+        tce_skips = [_shortfall(len(stack[0]), 2 * spec.duration_n) for spec in spec_list]
+        stack_specs = list(zip(spec_list, ks, _var_counts(stack, spec_list, ks), tce_skips))
         for column, series in enumerate(stack):
             asset_id = series.asset_id
             ids.append(asset_id)
@@ -520,7 +510,7 @@ def run_suite(series_set: Iterable[ReturnSeries], specs: Sequence[RiskSpec]) -> 
                     table, table_n = _tce_blocks(series, spec.duration_n), spec.duration_n
                 try:
                     tce_rows.append(_tce_result(series, spec, k, table))
-                except _Skip as skip:
+                except InputError as skip:  # the inputs are checked: no block has a defined prediction
                     skips.append(SkippedPair(asset_id, spec, "tce", str(skip)))
         del stack, series, table  # not alive while the next stack is read or ranked
     if not ids:

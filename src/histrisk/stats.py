@@ -90,11 +90,10 @@ def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:
     centered = y - y.mean()
     sst = float(centered @ centered)
 
-    if sst <= 0.0:
-        multiple_r = 0.0
-    else:
-        r_squared = 1.0 - sse / sst
-        multiple_r = math.sqrt(min(max(r_squared, 0.0), 1.0))
+    # sst > 0: the errors are not all equal and the largest in magnitude lies in [0.5, 1), so some centred
+    # error is at least about 5e-17
+    r_squared = 1.0 - sse / sst
+    multiple_r = math.sqrt(min(max(r_squared, 0.0), 1.0))
 
     residual_df = m - 3
     sigma2 = sse / residual_df

@@ -544,7 +544,7 @@ def test_run_suite_scratch_does_not_grow_with_the_series_count():
     # 1,000 series of 300 returns at 250:0.99, a universe screen: equal-length
     # series share a rank pass a stack at a time, and each stack's counts are
     # dropped before the next stack is ranked, so the scratch above what the
-    # report keeps stays near one stack's (measured 165 KiB), not 2 KiB per series
+    # report keeps stays near one stack's (measured 152 KiB), not 2 KiB per series
     rng = np.random.default_rng(60)
     series = [make_series(rng.standard_t(4, 300) * 0.01, asset=f"a{i:04d}") for i in range(1000)]
     specs = [RiskSpec(250, Level(0.99))]
@@ -562,7 +562,7 @@ def test_run_suite_scratch_does_not_grow_with_the_series_count():
 def test_run_suite_holds_one_stack_of_a_streamed_panel(monkeypatch, universe_texts):
     # fed by the panel reader, run_suite takes 1,000 price files of 301 days a stack of 13 series at a time and
     # drops each stack once it is scored, so its peak above the report stays near one stack's scratch (measured
-    # 187 KiB); holding every series, 2.4 KB of returns each, would add 2.4 MB
+    # 191 KiB); holding every series, 2.4 KB of returns each, would add 2.4 MB
     monkeypatch.setattr(ingestion, "_read_text", lambda path: universe_texts[path.name])
     paths = list(map(Path, universe_texts))
     specs = [RiskSpec(250, Level(0.99))]
@@ -587,17 +587,17 @@ def test_run_suite_frees_each_stack_before_the_next_read(monkeypatch):
         values = rng.normal(0, 0.01, 5000).tolist()
         texts[name] = "date,return\n" + "".join(f"{dt.date.fromordinal(start + i)},{v!r}\n" for i, v in enumerate(values))
     refs, alive = [], []
-    rank_passes = backtest._rank_passes
+    var_counts = backtest._var_counts
 
-    def ranked(stack, specs):
+    def ranked(stack, specs, ks):
         refs.extend(weakref.ref(series) for series in stack)
-        return rank_passes(stack, specs)
+        return var_counts(stack, specs, ks)
 
     def read_text(path):
         alive.append((path.name, [ref() is not None for ref in refs]))
         return texts[path.name]
 
-    monkeypatch.setattr(backtest, "_rank_passes", ranked)
+    monkeypatch.setattr(backtest, "_var_counts", ranked)
     monkeypatch.setattr(ingestion, "_read_text", read_text)
     report = run_suite(ingestion._read_panel([Path("a.csv"), Path("b.csv")], None), [RiskSpec(250, Level(0.99))])
     assert alive == [("a.csv", []), ("b.csv", [False])]
@@ -628,12 +628,12 @@ def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
     # pairs are skipped; and no table is alive while the next one is built or
     # the next stack's rank pass runs, which the scratch budget relies on
     built, tables, stacks = [], [], []
-    tce_blocks, rank_passes = backtest._tce_blocks, backtest._rank_passes
+    tce_blocks, var_counts = backtest._tce_blocks, backtest._var_counts
 
     def alone(build):
-        def checked(series_or_stack, arg):
+        def checked(*args):
             assert all(table() is None for table in tables)
-            return build(series_or_stack, arg)
+            return build(*args)
         return checked
 
     def counted(series, n):
@@ -642,12 +642,12 @@ def test_run_suite_builds_one_tce_table_at_a_time(monkeypatch):
         tables.extend((weakref.ref(rows), weakref.ref(means)))
         return rows, means
 
-    def ranked(stack, specs):
+    def ranked(stack, specs, ks):
         stacks.append(tuple(series.asset_id for series in stack))
-        return rank_passes(stack, specs)
+        return var_counts(stack, specs, ks)
 
     monkeypatch.setattr(backtest, "_tce_blocks", alone(counted))
-    monkeypatch.setattr(backtest, "_rank_passes", alone(ranked))
+    monkeypatch.setattr(backtest, "_var_counts", alone(ranked))
     rng = np.random.default_rng(59)
     # a41, a41b and a41c arrive one after another, so they share one stack, and so one rank pass
     series = [make_series(rng.normal(size=size), asset=f"a{size}") for size in (3, 9, 10, 19, 20, 41, 120)]
@@ -703,6 +703,15 @@ def test_run_suite_shares_each_length_skip_reason_across_its_stack():
         reasons = [skip.reason for skip in report.skips if skip.spec == spec and skip.kind == kind]
         assert len(reasons) == len(stack) and reasons[0] == reason
         assert all(other is reasons[0] for other in reasons)
+
+
+@pytest.mark.parametrize("public, required", [
+    (var_backtest, 10**400 + 1), (rolling_var_forecasts, 10**400 + 1), (tce_backtest, 2 * 10**400),
+], ids=["var_backtest", "rolling_var_forecasts", "tce_backtest"])
+def test_single_pair_refuses_a_duration_beyond_the_float_range_by_length(public, required):
+    # the length check runs before quantile_index, which refuses such a duration too, with another message
+    with pytest.raises(InputError, match=f"^30 returns < required {required}$"):
+        public(make_series(np.zeros(30)), RiskSpec(10**400, Level(0.9)))
 
 
 def test_return_series_validation():

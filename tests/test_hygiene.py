@@ -14,6 +14,9 @@ keeps date objects made from a date column's text in ``_Dates``' builder alone; 
 backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
 the panel reader only as the argument of ``run_suite``, which never passes its
 input to ``list``, ``sorted`` or ``tuple``, so no backtest holds its whole panel.
+``backtest`` takes its violation counts from ``_var_counts`` alone, the one
+caller of the rank pass, and writes a length skip's text in ``_shortfall``
+alone; ``InputError``'s one subclass is ``SingularDesignError``.
 Every private name a docstring or comment quotes in double backticks is defined
 in the package, so none is left naming code that is gone, and the README's
 Performance section quotes the chunk sizes of the reader and the rank pass as
@@ -202,15 +205,18 @@ def test_no_unicode_classes(path):
     assert unicode_classes(path.read_text(encoding="utf-8")) == []
 
 
-def name_uses(source: str, name: str) -> list[str]:
-    """Where each use of ``name`` sits: its enclosing functions and loops, outermost first, joined by ``/``.
+def uses(source: str, matches) -> list[str]:
+    """Where each node that ``matches`` accepts sits: its enclosing functions and loops, outermost first, joined by
+    ``/``.
 
-    Annotations are skipped: they hint at types and call nothing.
+    Annotations and docstrings are skipped: they hint at types or describe code, and run nothing.
     """
     found = []
 
     def visit(node: ast.AST, where: tuple[str, ...]) -> None:
-        if isinstance(node, ast.Name) and node.id == name:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            return
+        if matches(node):
             found.append("/".join(where))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where += (node.name,)
@@ -224,6 +230,19 @@ def name_uses(source: str, name: str) -> list[str]:
 
     visit(ast.parse(source), ())
     return found
+
+
+def name_uses(source: str, name: str) -> list[str]:
+    """Where each use of ``name`` sits, as ``uses`` reports it."""
+    return uses(source, lambda node: isinstance(node, ast.Name) and node.id == name)
+
+
+def text_uses(source: str, text: str) -> list[str]:
+    """Where each string literal holding ``text`` sits, as ``uses`` reports it; an f-string counts each literal
+    piece."""
+    return uses(
+        source, lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+    )
 
 
 def test_name_uses_finds_calls_and_references():
@@ -248,6 +267,19 @@ def test_name_uses_skips_annotations():
         "    return Path(path)\n"
     )
     assert name_uses(source, "Path") == ["f"]
+
+
+def test_text_uses_finds_literals_and_skips_docstrings():
+    source = (
+        '"""A module that says: too short."""\n'
+        "def reason(n):\n"
+        '    """Says too short."""\n'
+        "    return f'{n} too short'\n"
+        "def other():\n"
+        "    for _ in range(2):\n"
+        "        print('too short', 'too')\n"
+    )
+    assert text_uses(source, "too short") == ["reason", "other/for"]
 
 
 def test_ingestion_reads_files_in_one_place():
@@ -292,6 +324,49 @@ def test_backtest_builds_its_report_files_in_one_place():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert name_uses(source, "_render_csv") == name_uses(source, "_render_md") == ["_report_files"]
     assert name_uses(source, "_report_files") == ["_cmd_backtest"]
+
+
+def test_backtest_counts_violations_in_one_place():
+    # run_suite and var_backtest take each spec's violation counts, or its length skip, from _var_counts alone,
+    # the one caller of the rank pass; and a length skip's text is written in _shortfall alone
+    source = (SRC / "backtest.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_violation_counts") == ["_var_counts/for/for"]
+    assert name_uses(source, "_var_counts") == ["var_backtest", "run_suite/for"]
+    assert [
+        (path.stem, where) for path in sorted(SRC.glob("*.py"))
+        for where in text_uses(path.read_text(encoding="utf-8"), "returns < required")
+    ] == [("backtest", "_shortfall")]
+
+
+def class_bases(source: str) -> dict[str, set[str]]:
+    """Each class ``source`` defines, with the names of its bases; a base ``x.Y`` counts as ``Y``."""
+    return {
+        node.name: {base.id if isinstance(base, ast.Name) else base.attr for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))}
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_class_bases_finds_plain_and_dotted_bases():
+    source = (
+        "class A(Exception): ...\n"
+        "class B(errors.A, Mixin): ...\n"
+        "def f():\n"
+        "    class C(A): ...\n"
+        "    return C\n"
+    )
+    assert class_bases(source) == {"A": {"Exception"}, "B": {"A", "Mixin"}, "C": {"A"}}
+
+
+def test_input_error_has_one_subclass():
+    # a refusal is an InputError, told apart by its message; a second subclass would split the refusals again
+    bases = {}
+    for path in sorted(SRC.glob("*.py")):
+        bases.update(class_bases(path.read_text(encoding="utf-8")))
+    subclasses = {"InputError"}
+    while grown := {name for name, named in bases.items() if named & subclasses} - subclasses:
+        subclasses |= grown
+    assert subclasses - {"InputError"} == {"SingularDesignError"}
 
 
 def call_arguments_of(source: str, name: str) -> list[str]:

@@ -283,6 +283,7 @@ def test_convolution_of_independent_loans():
     loan = DiscreteDistribution([0.0, -1.0], [0.96, 0.04])
     combined = convolve_independent(loan, loan)
     assert combined.values.tolist() == [-2.0, -1.0, 0.0]
+    assert (len(loan), len(combined)) == (2, 3)
     assert combined.probabilities == pytest.approx([0.0016, 0.0768, 0.9216], rel=1e-14)
     assert var_discrete(combined, 0.95) == 1.0
 

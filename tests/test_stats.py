@@ -47,6 +47,13 @@ def test_constant_response():
     )
 
 
+def test_exact_fit_gives_zero_standard_errors():
+    # error = 0.5 - duration exactly, so the residuals, and with them both slopes' standard errors, are 0: the
+    # p-value is 0 for the non-zero duration slope and 1 for the zero level slope
+    rows = [(-99.5, 100, 0.95), (-7.5, 8, 0.9), (-19.5, 20, 0.99), (-7.5, 8, 0.9)]
+    assert ols2(rows) == RegressionSummary(0.5, -1.0, 0.0, 1.0, 0.0, 1.0, 1)
+
+
 def test_matches_normal_equations_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
