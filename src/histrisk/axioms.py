@@ -8,12 +8,11 @@ amounts.  Only the ``axioms`` command and the library use this module, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, _finite
+from .errors import InputError, _finite, _Record
 from .measures import (
     _TIE_EPS,
     Level,
@@ -29,20 +28,18 @@ from .measures import (
 _LEVEL_GRID = (0.5, 0.9, 0.95, 0.99)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(_Record):
     """A finite distribution of outcome values with explicit probabilities.
 
     Probabilities must be nonnegative and sum to 1 within 1e-12.  Outcomes do
     not need to be sorted or distinct.
     """
 
-    values: np.ndarray
-    probabilities: np.ndarray
+    __slots__ = ("values", "probabilities")
 
-    def __post_init__(self) -> None:
-        v = _checked_array(self.values, "outcome values")
-        p = _checked_array(self.probabilities, "probabilities")
+    def __init__(self, values: np.ndarray, probabilities: np.ndarray) -> None:
+        v = _checked_array(values, "outcome values")
+        p = _checked_array(probabilities, "probabilities")
         if v.size != p.size:
             raise InputError(f"got {v.size} values but {p.size} probabilities")
         if np.any(p < 0.0):
@@ -50,8 +47,7 @@ class DiscreteDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise InputError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probabilities", p)
+        super().__init__(v, p)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -98,13 +94,13 @@ def convolve_independent(a: DiscreteDistribution, b: DiscreteDistribution) -> Di
     return DiscreteDistribution(unique, np.bincount(inverse.ravel(), weights=probs, minlength=unique.size))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Outcome of the coherence spot-checks on one sample."""
 
-    translation_invariant: bool
-    positively_homogeneous: bool
-    monotone_in_level: bool
+    __slots__ = ("translation_invariant", "positively_homogeneous", "monotone_in_level")
+
+    def __init__(self, translation_invariant: bool, positively_homogeneous: bool, monotone_in_level: bool) -> None:
+        super().__init__(translation_invariant, positively_homogeneous, monotone_in_level)
 
 
 def axiom_report(

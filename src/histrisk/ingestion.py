@@ -108,12 +108,11 @@ import math
 import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _reject_repeats
+from .errors import InputError, _Record, _reject_repeats
 from .measures import _checked_array
 
 _ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")  # ASCII digits: ``\d`` matches any Unicode digit
@@ -223,12 +222,13 @@ def _check_asset_id(asset_id: str) -> None:
         raise InputError(f"asset_id must be one line, got {asset_id!r}")
 
 
-def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
-    """Check ``series``; store its dates as ``_Dates`` and its ``field`` values read-only; return the values."""
-    asset_id = series.asset_id
+def _check_series(
+    asset_id: str, dates: Sequence[dt.date], values: object, field: str
+) -> tuple[_Dates, np.ndarray]:
+    """The dates, as ``_Dates``, and the read-only ``field`` values of a series of ``asset_id``, both checked."""
     _check_asset_id(asset_id)
-    values = _checked_array(getattr(series, field), f"{asset_id}: {field}")
-    dates = series.dates if isinstance(series.dates, _Dates) else tuple(series.dates)
+    values = _checked_array(values, f"{asset_id}: {field}")
+    dates = dates if isinstance(dates, _Dates) else tuple(dates)
     if values.size != len(dates):
         raise InputError(f"{asset_id}: got {len(dates)} dates but {values.size} {field}")
     if not isinstance(dates, _Dates):
@@ -236,37 +236,31 @@ def _check_series(series: PriceSeries | ReturnSeries, field: str) -> np.ndarray:
             dates = _Dates(dates)
         except InputError as exc:
             raise InputError(f"{asset_id}: {exc}") from None
-    object.__setattr__(series, field, values)
-    object.__setattr__(series, "dates", dates)
-    return values
+    return dates, values
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(_Record):
     """Positive daily prices on strictly increasing dates."""
 
-    asset_id: str
-    dates: Sequence[dt.date]
-    prices: np.ndarray
+    __slots__ = ("asset_id", "dates", "prices")
 
-    def __post_init__(self) -> None:
-        if (_check_series(self, "prices") <= 0.0).any():
-            raise InputError(f"{self.asset_id}: prices must be strictly positive")
+    def __init__(self, asset_id: str, dates: Sequence[dt.date], prices: np.ndarray) -> None:
+        dates, prices = _check_series(asset_id, dates, prices, "prices")
+        if (prices <= 0.0).any():
+            raise InputError(f"{asset_id}: prices must be strictly positive")
+        super().__init__(asset_id, dates, prices)
 
     def __len__(self) -> int:
         return int(self.prices.size)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(_Record):
     """Dated daily returns for one asset, strictly increasing dates."""
 
-    asset_id: str
-    dates: Sequence[dt.date]
-    returns: np.ndarray
+    __slots__ = ("asset_id", "dates", "returns")
 
-    def __post_init__(self) -> None:
-        _check_series(self, "returns")
+    def __init__(self, asset_id: str, dates: Sequence[dt.date], returns: np.ndarray) -> None:
+        super().__init__(asset_id, *_check_series(asset_id, dates, returns, "returns"))
 
     def __len__(self) -> int:
         return int(self.returns.size)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, _finite, _integer
+from .errors import InputError, _finite, _integer, _Record
 
 # Tie tolerance for order-statistic thresholds.  (1 - alpha) * n is an exact
 # rational for every level anyone quotes, but the float product lands up to a
@@ -38,17 +37,16 @@ class QuantileConvention(enum.Enum):
     SMALLEST = "smallest"
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(_Record):
     """Confidence level, strictly inside (0, 1)."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        a = _finite(self.alpha)
+    def __init__(self, alpha: float) -> None:
+        a = _finite(alpha)
         if a is None or not 0.0 < a < 1.0:
-            raise InputError(f"confidence level must lie strictly inside (0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
+            raise InputError(f"confidence level must lie strictly inside (0, 1), got {alpha!r}")
+        super().__init__(a)
 
 
 def _as_level(level: Level | float) -> Level:
@@ -85,14 +83,13 @@ def _checked_array(values: object, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(_Record):
     """A non-empty batch of observed returns, stored as a read-only float array."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _checked_array(self.values, "sample"))
+    def __init__(self, values: np.ndarray) -> None:
+        super().__init__(_checked_array(values, "sample"))
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -10,12 +10,11 @@ regularized incomplete beta via a modified Lentz continued fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, SingularDesignError, _finite, _integer
+from .errors import InputError, SingularDesignError, _finite, _integer, _Record
 
 _DESIGN_COLUMNS = ("intercept", "duration", "level")
 # Pivot threshold relative to the largest diagonal of X'X, X's columns scaled as in ols2.
@@ -26,17 +25,22 @@ _CF_MAX_ITER = 300
 _CF_FPMIN = 1e-300
 
 
-@dataclass(frozen=True)
-class RegressionSummary:
+class RegressionSummary(_Record):
     """Fitted coefficients and diagnostics for error ~ duration + level."""
 
-    intercept: float
-    coef_duration: float
-    coef_level: float
-    multiple_r: float
-    p_duration: float
-    p_level: float
-    residual_df: int
+    __slots__ = ("intercept", "coef_duration", "coef_level", "multiple_r", "p_duration", "p_level", "residual_df")
+
+    def __init__(
+        self,
+        intercept: float,
+        coef_duration: float,
+        coef_level: float,
+        multiple_r: float,
+        p_duration: float,
+        p_level: float,
+        residual_df: int,
+    ) -> None:
+        super().__init__(intercept, coef_duration, coef_level, multiple_r, p_duration, p_level, residual_df)
 
 
 def ols2(rows: Sequence[Sequence[float]] | np.ndarray) -> RegressionSummary:

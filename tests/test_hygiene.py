@@ -17,14 +17,16 @@ input to ``list``, ``sorted`` or ``tuple``, so no backtest holds its whole panel
 ``backtest`` takes its violation counts from ``_var_counts`` alone, the one
 caller of the rank pass, and writes a length skip's text in ``_shortfall``
 alone; ``InputError``'s one subclass is ``SingularDesignError``.
-Every private name a docstring or comment quotes in double backticks is defined
-in the package, so none is left naming code that is gone, and the README's
+Every private name a docstring or comment quotes in double backticks, or names
+bare, is defined in the package, so none is left naming code that is gone, and the README's
 Performance section quotes the chunk sizes of the reader and the rank pass as
 the code sets them.
 """
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "histrisk"
 GLOBALS = set()
 
 # Each module may import only the modules before it; ``__init__`` and ``__main__`` sit above them all.
-LAYERS = ("errors", "measures", "axioms", "stats", "ingestion", "backtest", "cli")
+LAYERS = ("errors", "measures", "axioms", "stats", "ingestion", "backtest", "commands", "cli")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -313,9 +315,8 @@ def test_ingestion_keeps_dates_of_column_text_in_one_place():
 def test_backtest_builds_each_input_path_once():
     # _cmd_backtest makes one Path per input and one for --out; the name check, _read_panel and
     # _input_names take those, and build none (_read_error_table is regress's one table)
-    assert name_uses((SRC / "cli.py").read_text(encoding="utf-8"), "Path") == [
-        "_cmd_backtest", "_cmd_backtest", "_read_error_table",
-    ]
+    assert name_uses((SRC / "cli.py").read_text(encoding="utf-8"), "Path") == ["_cmd_backtest", "_cmd_backtest"]
+    assert name_uses((SRC / "commands.py").read_text(encoding="utf-8"), "Path") == ["_read_error_table"]
     assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "Path") == []
 
 
@@ -472,6 +473,46 @@ def test_quoted_private_names_are_defined():
     defined = set().union(*map(defined_names, sources.values()))
     undefined = [
         (name, quoted) for name, source in sources.items() for quoted in sorted(quoted_private_names(source) - defined)
+    ]
+    assert undefined == []
+
+
+def prose_private_names(source: str) -> set[str]:
+    """The private names, such as ``_x``, that the docstrings and comments of ``source`` name, quoted or bare.
+
+    A docstring is any statement that is a string alone, as ``uses`` reads it; a name after a dot is an attribute,
+    perhaps of a module outside the package, and is left out.
+    """
+    texts = [
+        node.value.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    ]
+    texts += [
+        token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return {name for text in texts for name in re.findall(r"(?<![\w.])_[A-Za-z]\w*", text)}
+
+
+def test_prose_private_names_finds_bare_names_in_docstrings_and_comments():
+    source = (
+        '"""Module: ``_quoted`` and _bare, not __dunder__, np._attr, a_b or 1_000."""\n'
+        "def _require(n):\n"
+        '    """Raise _Skip unless n > 1."""\n'
+        "    x = '_in_code'  # see _Comment (and _require)\n"
+        "    return x\n"
+    )
+    assert prose_private_names(source) == {"_quoted", "_bare", "_Skip", "_Comment", "_require"}
+    assert prose_private_names(source) - defined_names(source) == {"_quoted", "_bare", "_Skip", "_Comment"}
+
+
+def test_private_names_in_prose_are_defined():
+    # a docstring or comment that names a private name the code no longer defines, even bare, describes code
+    # that is gone
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    defined = set().union(*map(defined_names, sources.values()))
+    undefined = [
+        (name, named) for name, source in sources.items() for named in sorted(prose_private_names(source) - defined)
     ]
     assert undefined == []
 

@@ -441,7 +441,7 @@ def test_panel_reader_converts_each_file_alone(monkeypatch, universe_texts):
         return call
 
     for series_type in (PriceSeries, ReturnSeries):
-        monkeypatch.setattr(series_type, "__post_init__", counted(series_type.__name__, series_type.__post_init__))
+        monkeypatch.setattr(series_type, "__init__", counted(series_type.__name__, series_type.__init__))
     monkeypatch.setattr(histrisk.ingestion, "_returns", counted("_returns", histrisk.ingestion._returns))
     kept = _read_universe(monkeypatch, universe_texts)
     assert [series.asset_id for series in kept] == [name[:-4] for name in universe_texts]

@@ -6,6 +6,7 @@ interpreter shutdown.  The checks of what a process loads run in a fresh
 interpreter, since the test process has loaded every module.
 """
 
+import ast
 import gc
 import subprocess
 import sys
@@ -32,6 +33,29 @@ def test_backtest_import_leaves_out_regress_and_axioms_code():
         "print([name for name in ('histrisk.stats', 'histrisk.axioms', 'csv') if name in sys.modules])\n"
     ))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_backtest_import_builds_no_dataclass_and_leaves_out_the_other_commands():
+    # frozen dataclasses compile their generated methods at import; regress and axioms live in histrisk.commands
+    proc = python("-c", (
+        "import sys, histrisk.cli\n"
+        "print([name for name in ('dataclasses', 'histrisk.commands') if name in sys.modules])\n"
+    ))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_no_module_imports_dataclasses():
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+
+    importers = [
+        path.name for path in sorted((SRC / "histrisk").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(module.partition(".")[0] == "dataclasses" for module in imported(node))
+    ]
+    assert importers == []
 
 
 def test_every_public_name_resolves_on_first_use():
