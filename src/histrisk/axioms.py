@@ -18,6 +18,7 @@ from .measures import (
     Level,
     QuantileConvention,
     Sample,
+    _ArrayRecord,
     _as_level,
     _as_sample,
     _checked_array,
@@ -28,7 +29,7 @@ from .measures import (
 _LEVEL_GRID = (0.5, 0.9, 0.95, 0.99)
 
 
-class DiscreteDistribution(_Record):
+class DiscreteDistribution(_ArrayRecord):
     """A finite distribution of outcome values with explicit probabilities.
 
     Probabilities must be nonnegative and sum to 1 within 1e-12.  Outcomes do

@@ -45,8 +45,8 @@ class _Record:
     ``==``, ``hash``, ``repr`` and ``__match_args__`` go over the fields, as a frozen dataclass's do; assigning or
     deleting an attribute raises AttributeError; and a pickled or copied record is rebuilt through its class, so
     its arrays are checked and read-only again.  A subclass's ``__init__`` checks its arguments and stores the
-    fields with ``_Record.__init__``.  The class is built as written, where a dataclass generates and compiles
-    its methods at import.
+    fields with ``_Record.__init__``.  A record that holds arrays derives from ``_ArrayRecord``, which compares
+    them by value.  The class is built as written, where a dataclass generates and compiles its methods at import.
     """
 
     __slots__ = ("__weakref__",)

@@ -5,98 +5,64 @@ Files are two-column CSV with an exact header (``date,price`` or
 Every rejection names the 1-based number of the first bad line; nothing is
 silently dropped, reordered or deduplicated.
 
-Five owners read a file, one job each.  ``_read_text`` reads it as UTF-8 with
-universal newlines, the text ``Path.read_text`` gives, from one unbuffered
-binary read and one decode (9 against 19 us a 5 KB file, 2-CPU x86 host), and
-names the line of a byte that does not decode.  The csv
-reader, ``_csv_records``, owns csv text, error tables included: the byte-order
-mark, csv errors, field counts and the physical line each record starts on.
-The fast path, ``_parse_plain``, owns the format of a plain file: the exact
-header, then ``YYYY-MM-DD,<value>`` lines each ending in a newline, checked by
-C-level passes over the whole text.  It converts the values to one float64
-array, keeps the checked date column as the file's dates, and turns the file
-away unless its series
-type accepts both: the dates must increase, and the values pass the type's own
-checks, finite and, for prices, none at or below zero.  So a plain file is one
-its series type accepts.  The series types, ``PriceSeries`` and
-``ReturnSeries``, are defined here and own the values through one check both
-share, ``_check_series``: a non-empty one-line asset id, finite values, one
-date per value and strictly increasing dates, to which ``PriceSeries`` adds
-price positivity.  The row loop, ``_row_loop``, reads the records one by one
-and writes every line-numbered value message.  Quoted or padded cells, a padded
-header, blank lines and raw carriage returns take it, and so does every file
-whose values or dates a series type refuses.
+Five owners read a file, one job each.  ``_read_bytes`` reads its bytes, in one
+unbuffered binary read; ``_decode`` gives the text ``Path.read_text`` would,
+UTF-8 with universal newlines, and names the line of a byte that does not
+decode (``_read_text``, the reader of ``regress``, is the two in turn).  The
+csv reader, ``_csv_records``, owns csv text, error tables included: the
+byte-order mark, csv errors, field counts and the physical line each record
+starts on.  The fast path, ``_parse_plain``, owns the format of a plain file,
+checked on its UTF-8 bytes: leading byte-order marks, the exact header, then
+``YYYY-MM-DD,<value>`` lines each ending in a newline.  It turns the file away
+unless its series type accepts the dates and values it read, so a plain file
+is one its series type accepts.  The series types, ``PriceSeries`` and
+``ReturnSeries``, own the values through one check both share,
+``_check_series``.  The row loop, ``_row_loop``, reads the records of a text
+one by one and writes every line-numbered value message.  Quoted or padded
+cells, a padded header, blank lines and raw carriage returns take it, and so
+does every file whose values or dates a series type refuses.
 
-Text becomes a series one way.  ``_parse`` is the fast path, else the row
-loop, and the only caller of either; each gives a ``_Dates`` and a read-only
-float64 array, which a series holds as it is, not a copy.  ``parse_prices``
-and ``parse_returns`` wrap that pair in their series type.  ``_returns`` is
-the one maker of returns from checked prices, for ``to_returns`` and the panel
-reader alike: it checks the asset id, then that there are at least 2 prices, and takes
-the ratio or its log as one read-only array on the prices' dates' ``tail``.
+``_parse`` is the only caller of the fast path and the row loop: the fast path
+on the bytes, else the row loop on the text, which it asks for only then.  Each
+gives a ``_Dates`` and a read-only float64 array, which a series holds as it
+is, not a copy.  ``parse_prices`` and ``parse_returns`` encode their text once,
+lone surrogates passed through, and hand ``_parse`` the text itself for the row
+loop.  ``_returns`` is the one maker of returns from checked prices, for
+``to_returns`` and the panel reader alike.
 
-The dates a series holds are a ``_Dates``, a read-only sequence of strictly
-increasing dates.  Dates given as objects are walked once, when constructed,
-refused unless each is a ``dt.date`` and no ``dt.datetime``, and kept as a
-tuple.  Dates read from a plain file are kept as its checked date column, the
-ISO cells joined by ``","``, and their ``dt.date`` tuple is built from that
-text on first use (a backtest reads no date, so it builds none); that builder
-is the one place the column text becomes kept date objects.  ``_check_series``
-trusts the type, and the ``tail`` of one, the dates of the returns formed from
-prices on it, is the same text one date on, not walked or copied.  So dates are
-walked once, whatever number of series hold them.  Dates with a tail build only
-their first date and take the tail's objects for the rest, and a tail taken
-once its dates are built is a slice of their tuple, so prices and their returns
-share each date object whichever is read first.
-
-``_read_panel`` reads the files of one backtest, in the order given, yielding
-each file's series as soon as it is converted, and owns their calendar for that
-one read: the checked date column of the last plain file it read, as text.
-Each chunk's date cells, joined the same way, are compared with the calendar at
-the same offset, and no date is converted while they match; on a whole match
-the file's dates hold the calendar's string itself, so the files of one
-calendar share one date column, not a copy each.  From the first chunk that
-differs, each chunk's cells are converted to check them and the objects
+``_read_panel`` reads the files of one backtest in the order given, each once,
+so an input can be a pipe or a FIFO, and converts and checks each before it
+reads the next, as the public functions would, so a file gets the series or
+the error it gets alone and no file is read after the first bad one.  It turns
+carriage returns into newlines on the bytes, holds no decoded copy of a plain
+file, and decodes a file, whole and as read, only for the row loop, so a file
+that is not UTF-8 raises the error its read alone raises.  The fast path
+decodes each chunk's date cells, ASCII once the prefix regex has passed them,
+and the value cells of a chunk whose cells ``float`` refuses as bytes:
+``float`` reads a fullwidth digit, as in ``１２``, or a no-break space from text
+alone.  A cell that is not UTF-8 turns the file away.  The reader's calendar is
+the checked date column of the last plain file it read, as text; the public
+functions share none between calls.  Each chunk's
+date cells, joined by ``","``, are compared with it at the same offset, and no
+date is converted while they match; on a whole match the file's dates hold the
+calendar's string itself, so the files of one calendar share one date column.
+From the first chunk that differs, each cell is converted to check it and
 dropped, and the order is checked on the text, the boundary with the last
 matched date included: once the prefix regex and the conversion have passed
-them, fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  The file's date
-column then becomes the calendar, and nothing of the one before is kept.  Two
-paths with one stem, which would give one asset id, are refused before the
-first read.  Each file is converted and checked before the next is read, on the
-one path: ``_parse`` with the calendar, then, for prices, ``_returns``.  The
-file becomes one ``ReturnSeries`` that owns the read-only array, not a copy; no
-``PriceSeries`` is built.  The parse has checked every value, so what is left
-to fail is what the file gives alone too, in the same order: an asset id that
-spans lines, a single price, a ratio that overflowed.  A plain file's date
-column becomes the calendar; a file the fast path turns away is read by the row
-loop from the text already read, once, and leaves the calendar as it was.  Each
-file is read once, so an input can be a pipe or a FIFO, and no file is read
-after the first bad one, which raises the error it raises alone.  The reader
-holds no series, no returns and no text of a file once it has yielded that
-file's series, so a caller that scores and drops the series as they come, as
-``run_suite`` does, never holds the whole panel.  The public functions share no
-calendar between calls.  A calendar hit relies on the line-prefix regex below:
-``date,return\\n2020-01-01\\n5,2020-01-02,7\\n`` has as many commas as newlines
-and even cells equal to the calendar 2020-01-01, 2020-01-02, and only the regex
-sends it to the row loop.
+them, fixed-width ``YYYY-MM-DD`` cells sort as their dates do.  A calendar hit
+still needs the prefix regex: ``date,return\\n2020-01-01\\n5,2020-01-02,7\\n``
+has as many commas as newlines and even cells equal to the calendar.
 
-The fast path splits the body in line-aligned chunks of about
-``_CHUNK_CHARS`` characters, which bounds its live cell strings, about two a
-line, whose pages CPython keeps resident once freed; beside them it holds the
-values array and, off the calendar, the date column text, below the row loop's.
-
-The format checks are three passes that each run in C: no ``\\r`` anywhere
-(``float`` reads ``\\r1.5``), as many commas as newlines in the body, and a
-regex for the date prefix ``YYYY-MM-DD,`` of every line; a ``"`` fails the
-header, the prefix or ``float``.  The prefix gives each line at least one
-comma, so equal counts mean exactly one: together they accept exactly the files
-of the one regex that matched every whole line before them (400,000 fuzzed
-texts, no difference), and on 1,000 301-line files they took 30-37 ms against
-its 39-44 ms (best and median of 9, 2-CPU x86 host).  The regex is a negative
+The fast path splits the body in line-aligned chunks of about ``_CHUNK_CHARS``
+bytes, which bounds its live cells, about two a line, whose pages CPython keeps
+resident once freed.  Its format checks are three passes that each run in C:
+no ``\\r`` anywhere (``float`` reads ``\\r1.5``), as many commas as newlines in
+the body, and a regex for the date prefix ``YYYY-MM-DD,`` of every line; a
+``"`` fails the header, the prefix or ``float``.  The prefix gives each line at
+least one comma, so equal counts mean exactly one.  The regex is a negative
 lookahead at each newline, not a repeated line group matched over the whole
-body: ``re`` keeps a backtracking frame per repetition of a group, which held
-16.5 MB on one 50,000-line file.  Possessive quantifiers and atomic groups
-avoid that frame, but they need Python 3.11, and histrisk supports 3.10.
+body, for which ``re`` keeps a backtracking frame per line; the possessive
+quantifiers and atomic groups that avoid that frame need Python 3.11.
 """
 
 from __future__ import annotations
@@ -107,24 +73,26 @@ import io
 import math
 import operator
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _Record, _reject_repeats
-from .measures import _checked_array
+from .errors import InputError, _reject_repeats
+from .measures import _ArrayRecord, _checked_array
 
 _ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")  # ASCII digits: ``\d`` matches any Unicode digit
 
 # A newline not followed by an ASCII-digit ``YYYY-MM-DD,`` line prefix.  Anchoring
 # on the literal newline rather than ``^`` lets the engine skip from line to line;
 # unrolled classes ran 1.5x as fast as ``[0-9]{4}`` on a 5,000-line file.
-_NOT_PLAIN_ROW = re.compile(r"\n(?![0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],)")
+_NOT_PLAIN_ROW = re.compile(rb"\n(?![0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9],)")
 
-# Body characters split per pass of the fast path, rounded up to a line end.  The cell strings of a pass, about
-# two a line, keep their pages resident once freed: 8 Ki chunks read 0.9 MB below 64 Ki on 2 x 50,000 returns.
+# Body bytes split per pass of the fast path, rounded up to a line end.  The cells of a pass, about two a line,
+# keep their pages resident once freed, so a larger chunk's cells stay in the reader's peak RSS.
 _CHUNK_CHARS = 1 << 13
+
+_BOM = "\ufeff".encode()
 
 
 class ReturnMethod(enum.Enum):
@@ -138,8 +106,9 @@ class _Dates(Sequence):
     Dates given as objects are walked once, when constructed, and kept as a tuple; each must be a ``dt.date``
     and not a ``dt.datetime``.  Dates read from a plain file are its checked date column, the ``YYYY-MM-DD``
     cells joined by ``","``, from the one at ``offset``; their tuple is built from that text on first use and
-    kept.  A slice is a tuple; ``hash`` and ``repr`` are
-    the tuple's, and an equal tuple or ``_Dates`` compares equal from either side.
+    kept, in ``_built`` alone (a backtest reads no date, so it builds none), and their ``tail`` is that text one
+    date on.  A slice is a tuple; ``hash`` and ``repr`` are the tuple's, and an equal tuple or ``_Dates``
+    compares equal from either side.
     """
 
     __slots__ = ("_column", "_offset", "_dates", "_tail")
@@ -239,7 +208,7 @@ def _check_series(
     return dates, values
 
 
-class PriceSeries(_Record):
+class PriceSeries(_ArrayRecord):
     """Positive daily prices on strictly increasing dates."""
 
     __slots__ = ("asset_id", "dates", "prices")
@@ -254,7 +223,7 @@ class PriceSeries(_Record):
         return int(self.prices.size)
 
 
-class ReturnSeries(_Record):
+class ReturnSeries(_ArrayRecord):
     """Dated daily returns for one asset, strictly increasing dates."""
 
     __slots__ = ("asset_id", "dates", "returns")
@@ -266,10 +235,15 @@ class ReturnSeries(_Record):
         return int(self.returns.size)
 
 
-def _read_text(path: Path) -> str:
-    """The text of ``path`` as ``Path.read_text(encoding="utf-8")`` reads it, universal newlines included."""
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of ``path``, from one unbuffered binary read."""
     with open(path, "rb", buffering=0) as handle:
-        data = handle.readall()
+        return handle.readall()
+
+
+def _decode(data: bytes, path: Path) -> str:
+    """``data``, read from ``path``, as ``Path.read_text(encoding="utf-8")`` gives it, universal newlines included;
+    a byte that does not decode raises the error that names its line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -278,24 +252,32 @@ def _read_text(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse_plain(text: str, value_column: str, calendar: str) -> tuple[_Dates, np.ndarray] | None:
-    """The dates and read-only values of ``text`` if it is a plain file that its series type accepts, else None.
+def _read_text(path: Path) -> str:
+    """The text of ``path`` as ``Path.read_text(encoding="utf-8")`` reads it, universal newlines included."""
+    return _decode(_read_bytes(path), path)
+
+
+def _parse_plain(data: bytes, value_column: str, calendar: str) -> tuple[_Dates, np.ndarray] | None:
+    """The dates and read-only values of the UTF-8 ``data`` if it is a plain file that its series type accepts,
+    else None.
 
     Accepted means increasing dates and finite values, positive for prices.  ``calendar`` is the checked date
     column of the last plain file read, ``""`` before the first; when the file's date column is that text, the
     dates hold that string itself.
     """
-    text = text.lstrip("\ufeff")
-    header = f"date,{value_column}\n"
-    start, end = len(header), len(text)
-    rows = text.count("\n", start)
+    first = 0
+    while data.startswith(_BOM, first):  # every leading byte-order mark, as ``str.lstrip`` takes them off text
+        first += len(_BOM)
+    header = f"date,{value_column}\n".encode()
+    start, end = first + len(header), len(data)
+    rows = data.count(b"\n", start)
     if (
         end == start
-        or not text.startswith(header)
-        or not text.endswith("\n")
-        or "\r" in text
-        or text.count(",", start) != rows
-        or _NOT_PLAIN_ROW.search(text, start - 1, end - 1)
+        or not data.startswith(header, first)
+        or not data.endswith(b"\n")
+        or b"\r" in data
+        or data.count(b",", start) != rows
+        or _NOT_PLAIN_ROW.search(data, start - 1, end - 1)
     ):
         return None
     pieces: list[str] = []  # each chunk's date cells, joined by ","
@@ -305,25 +287,35 @@ def _parse_plain(text: str, value_column: str, calendar: str) -> tuple[_Dates, n
     done = 0
     try:
         while start < end:
-            stop = text.find("\n", min(start + _CHUNK_CHARS, end - 1)) + 1
-            cells = text[start:stop].replace("\n", ",").split(",")
-            days = cells[0:-1:2]
-            pieces.append(",".join(days))
-            # every date cell is 10 characters, so the chunk's first date sits at 11 per date before it
-            matched = matched and calendar.startswith(pieces[-1], 11 * done)
-            # off the calendar, each cell must be a date (a date is true; a bad cell raises ValueError), and the
-            # prefix check makes every cell fixed-width ``YYYY-MM-DD``, whose text sorts as its date does; the
-            # dates themselves are dropped, to be built from the column if ever read
-            if not matched and not (
-                all(map(dt.date.fromisoformat, days)) and last < days[0] and all(map(operator.lt, days, days[1:]))
-            ):
-                return None
-            last = days[-1]
-            values[done:done + len(days)] = np.fromiter(map(float, cells[1::2]), float, len(days))
-            done += len(days)
+            stop = data.find(b"\n", min(start + _CHUNK_CHARS, end - 1)) + 1
+            cells = data[start:stop].replace(b"\n", b",").split(b",")
+            # the prefix check makes every date cell ASCII ``YYYY-MM-DD``, 10 characters, so the chunk's first
+            # date sits at 11 per date before it
+            piece = b",".join(cells[0:-1:2]).decode("ascii")
+            pieces.append(piece)
+            count = len(cells) // 2
+            matched = matched and calendar.startswith(piece, 11 * done)
+            # off the calendar, each cell must be a date (a date is true; a bad cell raises ValueError), and
+            # fixed-width ``YYYY-MM-DD`` text sorts as its date does; the dates themselves are dropped, to be
+            # built from the column if ever read
+            if not matched:
+                days = piece.split(",")
+                if not (
+                    all(map(dt.date.fromisoformat, days)) and last < days[0] and all(map(operator.lt, days, days[1:]))
+                ):
+                    return None
+            last = piece[-10:]
+            try:
+                converted = np.fromiter(map(float, cells[1::2]), float, count)
+            except ValueError:
+                # ``float`` reads Unicode spaces and digits, such as ``\xa0100.0`` or ``１２``, from text alone;
+                # a cell that is not UTF-8 raises UnicodeDecodeError, a ValueError, and the file is turned away
+                converted = np.fromiter((float(cell.decode()) for cell in cells[1::2]), float, count)
+            values[done:done + count] = converted
+            done += count
             start = stop
         # the series types' own checks; a min/max compare ran NumPy loops nothing else in a backtest runs,
-        # and their code, paged in, raised universe_screen's peak RSS by 0.07-0.14 MB
+        # and their code, paged in, raised universe_screen's peak RSS
         if not np.isfinite(values).all() or value_column == "price" and (values <= 0.0).any():
             return None
         values.flags.writeable = False  # so a series holds this array, not a copy of it
@@ -335,11 +327,11 @@ def _parse_plain(text: str, value_column: str, calendar: str) -> tuple[_Dates, n
 
 
 def _parse(
-    text: str, value_column: str, asset_id: str, calendar: str = ""
+    data: bytes, value_column: str, asset_id: str, text: Callable[[], str], calendar: str = ""
 ) -> tuple[_Dates, np.ndarray]:
-    """The dates and read-only values of ``text``: the fast path's when it accepts the file, else the row loop's,
-    which raises the file's error."""
-    return _parse_plain(text, value_column, calendar) or _row_loop(text, value_column, asset_id)
+    """The dates and read-only values of the file ``data``: the fast path's when it accepts the file, else the row
+    loop's on its text, which ``text()`` gives only then; the row loop raises the file's error."""
+    return _parse_plain(data, value_column, calendar) or _row_loop(text(), value_column, asset_id)
 
 
 def _returns(asset_id: str, dates: _Dates, prices: np.ndarray, method: ReturnMethod) -> ReturnSeries:
@@ -371,16 +363,19 @@ def _read_panel(paths: Sequence[Path], method: ReturnMethod | None) -> Iterator[
     checked before the next is read, by the path ``parse_returns``, or ``parse_prices`` and ``to_returns``, take:
     ``_parse`` with the calendar, then, for prices, ``_returns``.  So each series is the one its file alone gives,
     and the first bad file raises the error it raises alone.  A series is yielded as soon as its file is
-    converted, and nothing here holds it, its returns or its file's text while the next file is read: the caller
+    converted, and nothing here holds it, its returns or its file's bytes while the next file is read: the caller
     decides what lives on.
     """
     _reject_repeats((path.stem for path in paths), "asset ids")
     value_column = "return" if method is None else "price"
     calendar = ""
     for path in paths:
-        # the text is dropped before the yield, so two texts are never held at once: with both, tick_ties' peak
-        # RSS (2 x 50,000 lines) read 36.2-36.4 MB at six checkout paths, without 35.5-35.7 MB
-        dates, values = _parse(_read_text(path), value_column, path.stem, calendar)
+        data = _read_bytes(path)
+        dates, values = _parse(
+            data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data,
+            value_column, path.stem, lambda: _decode(data, path), calendar,
+        )
+        del data  # so two files' bytes are never held at once
         if dates._column is not None:  # a plain file's dates hold its date column, which the next is compared with
             calendar = dates._column
         if method is None:
@@ -452,12 +447,12 @@ def _row_loop(text: str, value_column: str, asset_id: str) -> tuple[_Dates, np.n
 
 def parse_prices(text: str, asset_id: str) -> PriceSeries:
     """Parse ``date,price`` CSV content into a validated PriceSeries."""
-    return PriceSeries(asset_id, *_parse(text, "price", asset_id))
+    return PriceSeries(asset_id, *_parse(text.encode("utf-8", "surrogatepass"), "price", asset_id, lambda: text))
 
 
 def parse_returns(text: str, asset_id: str) -> ReturnSeries:
     """Parse ``date,return`` CSV content into a validated ReturnSeries."""
-    return ReturnSeries(asset_id, *_parse(text, "return", asset_id))
+    return ReturnSeries(asset_id, *_parse(text.encode("utf-8", "surrogatepass"), "return", asset_id, lambda: text))
 
 
 def to_returns(prices: PriceSeries, method: ReturnMethod = ReturnMethod.SIMPLE) -> ReturnSeries:

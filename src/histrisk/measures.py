@@ -83,7 +83,24 @@ def _checked_array(values: object, what: str) -> np.ndarray:
     return arr
 
 
-class Sample(_Record):
+class _ArrayRecord(_Record):
+    """A record that holds arrays: ``==`` compares its array fields by value and the others as ``_Record`` does,
+    and it is unhashable, as a frozen dataclass holding an array was."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(self._astuple(), other._astuple())  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Sample(_ArrayRecord):
     """A non-empty batch of observed returns, stored as a read-only float array."""
 
     __slots__ = ("values",)

@@ -16,3 +16,9 @@ def universe_texts():
         f"a{i}.csv": "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(days, row))
         for i, row in enumerate(prices)
     }
+
+
+@pytest.fixture(scope="module")
+def universe_files(universe_texts):
+    """The bytes of ``universe_texts``' files, by file name, as the panel reader reads them."""
+    return {name: text.encode() for name, text in universe_texts.items()}

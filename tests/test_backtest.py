@@ -559,12 +559,12 @@ def test_run_suite_scratch_does_not_grow_with_the_series_count():
     assert peak - kept <= 192 * 1024, f"run_suite peaked {(peak - kept) / 1024:.1f} KiB above its report"
 
 
-def test_run_suite_holds_one_stack_of_a_streamed_panel(monkeypatch, universe_texts):
+def test_run_suite_holds_one_stack_of_a_streamed_panel(monkeypatch, universe_files):
     # fed by the panel reader, run_suite takes 1,000 price files of 301 days a stack of 13 series at a time and
     # drops each stack once it is scored, so its peak above the report stays near one stack's scratch (measured
     # 191 KiB); holding every series, 2.4 KB of returns each, would add 2.4 MB
-    monkeypatch.setattr(ingestion, "_read_text", lambda path: universe_texts[path.name])
-    paths = list(map(Path, universe_texts))
+    monkeypatch.setattr(ingestion, "_read_bytes", lambda path: universe_files[path.name])
+    paths = list(map(Path, universe_files))
     specs = [RiskSpec(250, Level(0.99))]
     run_suite(ingestion._read_panel(paths, ingestion.ReturnMethod.LOG), specs)
     tracemalloc.start()
@@ -593,12 +593,12 @@ def test_run_suite_frees_each_stack_before_the_next_read(monkeypatch):
         refs.extend(weakref.ref(series) for series in stack)
         return var_counts(stack, specs, ks)
 
-    def read_text(path):
+    def read_bytes(path):
         alive.append((path.name, [ref() is not None for ref in refs]))
-        return texts[path.name]
+        return texts[path.name].encode()
 
     monkeypatch.setattr(backtest, "_var_counts", ranked)
-    monkeypatch.setattr(ingestion, "_read_text", read_text)
+    monkeypatch.setattr(ingestion, "_read_bytes", read_bytes)
     report = run_suite(ingestion._read_panel([Path("a.csv"), Path("b.csv")], None), [RiskSpec(250, Level(0.99))])
     assert alive == [("a.csv", []), ("b.csv", [False])]
     assert report.asset_ids == ("a", "b") and len(report.var_rows) == len(report.tce_rows) == 2
@@ -610,8 +610,9 @@ def test_read_panel_keeps_no_built_dates(monkeypatch):
     # only when read, and a backtest reads none
     start = dt.date(1950, 1, 1).toordinal()
     body = "".join(f"{dt.date.fromordinal(start + i)},{i % 7 / 100}\n" for i in range(20_000))
-    texts = {"a.csv": "date,return\n" + body, "b.csv": "date,return\n" + body.replace(",0.0\n", ",0.5\n")}
-    monkeypatch.setattr(ingestion, "_read_text", lambda path: texts[path.name])
+    files = {"a.csv": ("date,return\n" + body).encode(),
+             "b.csv": ("date,return\n" + body.replace(",0.0\n", ",0.5\n")).encode()}
+    monkeypatch.setattr(ingestion, "_read_bytes", lambda path: files[path.name])
     tracemalloc.start()
     try:
         series = list(ingestion._read_panel([Path("a.csv"), Path("b.csv")], None))

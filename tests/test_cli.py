@@ -524,13 +524,13 @@ def test_backtest_duplicate_asset_stems(tmp_path, capsys):
 def test_backtest_duplicate_asset_stems_read_no_file(tmp_path, monkeypatch, capsys):
     # the stems are checked before the first read, so a missing second file is never reached
     write_returns_csv(tmp_path / "a.csv", np.random.default_rng(68).normal(0, 0.01, 50))
-    read, read_text = [], histrisk.ingestion._read_text
+    read, read_bytes = [], histrisk.ingestion._read_bytes
 
     def recorded(path):
         read.append(path)
-        return read_text(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", recorded)
     paths = [str(tmp_path / "a.csv"), str(tmp_path / "sub" / "a.csv")]
     rc = main(["backtest", "--returns", *paths, "--spec", "2:0.5", "--out", str(tmp_path / "o")])
     assert (rc, capsys.readouterr().err, read) == (1, "error: duplicate asset ids: a\n", [])
@@ -538,13 +538,13 @@ def test_backtest_duplicate_asset_stems_read_no_file(tmp_path, monkeypatch, caps
 
 def test_backtest_refuses_specs_sharing_a_label_before_any_read(tmp_path, monkeypatch, capsys):
     # the suite checks its specs before it takes the first series, so a missing input is never reached
-    read, read_text = [], histrisk.ingestion._read_text
+    read, read_bytes = [], histrisk.ingestion._read_bytes
 
     def recorded(path):
         read.append(path)
-        return read_text(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", recorded)
     rc = main([
         "backtest", "--returns", str(tmp_path / "absent.csv"),
         "--spec", "20:0.95", "--spec", "20:0.950000000001", "--out", str(tmp_path / "o"),

@@ -7,9 +7,11 @@ module parses as Python 3.10, the oldest version ``pyproject.toml`` supports,
 and no ``re.compile`` pattern needs the 3.11 regex syntax or holds ``\\d`` or
 ``\\w``, which match non-ASCII digits and letters too.  ``ingestion`` reads
 files in one place, the loop of ``_read_panel``, so no file is read twice;
-parses text in one place, ``_parse``, the only caller of the fast path and the
-row loop, so no file is parsed twice; makes returns in that loop and in
-``to_returns`` alone, one file at a time; and
+decodes a whole file in one function, which that loop calls only for the row
+loop, once the fast path has turned the file away; parses a file in one place,
+``_parse``, the only caller of the fast path and the row loop, so no file is
+parsed twice; makes returns in that loop and in ``to_returns`` alone, one file
+at a time; and
 keeps date objects made from a date column's text in ``_Dates``' builder alone; a
 backtest builds each input's ``Path`` once, in ``cli._cmd_backtest``, and calls
 the panel reader only as the argument of ``run_suite``, which never passes its
@@ -137,9 +139,9 @@ def test_sources_parse_as_python_3_10():
 
 
 def compiled_patterns(source: str) -> list[str]:
-    """The pattern literals of the ``re.compile`` calls in ``source``."""
+    """The pattern literals of the ``re.compile`` calls in ``source``, a bytes pattern decoded as Latin-1."""
     return [
-        node.args[0].value
+        node.args[0].value.decode("latin-1") if isinstance(node.args[0].value, bytes) else node.args[0].value
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
@@ -148,7 +150,7 @@ def compiled_patterns(source: str) -> list[str]:
         and node.func.value.id == "re"
         and node.args
         and isinstance(node.args[0], ast.Constant)
-        and isinstance(node.args[0].value, str)
+        and isinstance(node.args[0].value, (str, bytes))
     ]
 
 
@@ -171,8 +173,9 @@ def test_newer_regex_syntax_finds_possessive_and_atomic_patterns():
         "C = re.compile(r'(?>ab|a)c')\n"
         "D = re.compile(r'\\d\\++[*+?]+(?:a)?\\(?>')\n"
         "E = re.search(r'a++', 'a')\n"
+        "F = re.compile(rb'\\na?+')\n"
     )
-    assert newer_regex_syntax(source) == ["a*+b", "x{2}+", "(?>ab|a)c"]
+    assert newer_regex_syntax(source) == ["a*+b", "x{2}+", "(?>ab|a)c", "\\na?+"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -285,8 +288,28 @@ def test_text_uses_finds_literals_and_skips_docstrings():
 
 
 def test_ingestion_reads_files_in_one_place():
-    # a second read site could read a pipe or a FIFO twice
-    assert name_uses((SRC / "ingestion.py").read_text(encoding="utf-8"), "_read_text") == ["_read_panel/for"]
+    # a second read site could read a pipe or a FIFO twice; _read_text, regress's reader, is the byte reader's
+    # one other caller, and the panel reader does not call it
+    source = (SRC / "ingestion.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_read_bytes") == ["_read_text", "_read_panel/for"]
+    assert name_uses(source, "_read_text") == []
+
+
+def test_ingestion_decodes_a_whole_file_in_one_place():
+    # the panel reader parses a file from its bytes: _decode, the one decode of a whole file, is called by
+    # _read_text and by a lambda the reader hands _parse as the file's text, which _parse calls only as the row
+    # loop's argument, once the fast path has turned the file away; the fast path decodes a chunk's cells alone
+    source = (SRC / "ingestion.py").read_text(encoding="utf-8")
+    assert name_uses(source, "_decode") == ["_read_text", "_read_panel/for"]
+    assert [
+        call.func.id for call in ast.walk(ast.parse(source)) if isinstance(call, ast.Call)
+        for arg in call.args if isinstance(arg, ast.Lambda) and name_uses(ast.unparse(arg), "_decode")
+    ] == ["_parse"]
+    parse = next(node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == "_parse")
+    assert call_arguments_of(ast.unparse(parse), "text") == ["_row_loop"]
+    assert uses(source, lambda node: isinstance(node, ast.Attribute) and node.attr == "decode") == [
+        "_decode", "_parse_plain/while", "_parse_plain/while",
+    ]
 
 
 def test_ingestion_makes_returns_in_two_places():
@@ -297,7 +320,7 @@ def test_ingestion_makes_returns_in_two_places():
 
 
 def test_ingestion_parses_text_in_one_place():
-    # the fast path, else the row loop, in _parse alone: no reader runs a second parse of a file's text
+    # the fast path, else the row loop, in _parse alone: no reader runs a second parse of a file
     source = (SRC / "ingestion.py").read_text(encoding="utf-8")
     assert name_uses(source, "_parse_plain") == name_uses(source, "_row_loop") == ["_parse"]
 

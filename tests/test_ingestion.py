@@ -340,11 +340,11 @@ def _returns_text(days, values):
     return "date,return\n" + "".join(f"{day},{value}\n" for day, value in zip(days, values))
 
 
-def _held_above(calendar, text):
-    """What ``_parse_plain`` returns for ``text`` on ``calendar``, and its traced peak above that result."""
+def _held_above(calendar, data):
+    """What ``_parse_plain`` returns for ``data`` on ``calendar``, and its traced peak above that result."""
     tracemalloc.start()
     try:
-        read = _parse_plain(text, "return", calendar)
+        read = _parse_plain(data, "return", calendar)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,10 +358,10 @@ def test_fast_path_holds_one_chunk_of_cell_strings():
     rows = 50_000
     start = dt.date(1900, 1, 1)
     days = [start + dt.timedelta(days=i) for i in range(rows)]
-    text = _returns_text(days, map(repr, np.random.default_rng(36).normal(0.0, 0.01, rows).tolist()))
+    data = _returns_text(days, map(repr, np.random.default_rng(36).normal(0.0, 0.01, rows).tolist())).encode()
     budget = 11 * rows + 160 * 1024
-    (calendar, _), miss = _held_above("", text)
-    (read, _), hit = _held_above(calendar._column, text)
+    (calendar, _), miss = _held_above("", data)
+    (read, _), hit = _held_above(calendar._column, data)
     assert read._column is calendar._column
     assert miss <= budget, f"a calendar miss peaked {miss / 1024:.0f} KiB above its result"
     assert hit <= budget, f"a calendar hit peaked {hit / 1024:.0f} KiB above its result"
@@ -389,7 +389,7 @@ def test_default_chunks_match_the_row_loop():
     _, _, first, second = _default_chunk_texts()
     calendar = ""
     for text, hit in ((first, False), (first, True), (second, False)):
-        read, values = _parse_plain(text, "return", calendar)
+        read, values = _parse_plain(text.encode(), "return", calendar)
         dates, expected = _row_loop(text, "return", "x")
         assert (read._column is calendar) == hit
         assert read == dates and values.tobytes() == expected.tobytes()
@@ -401,27 +401,27 @@ def test_default_chunks_leave_a_last_chunk_date_to_the_row_loop(last):
     # on a calendar that holds every chunk but the last, a bad date there sends the file to the row loop,
     # which names its line
     days, values, first, _ = _default_chunk_texts()
-    calendar = _parse_plain(first, "return", "")[0]._column
+    calendar = _parse_plain(first.encode(), "return", "")[0]._column
     bad = days[:-1] + [f"{days[-1].year}-02-30" if last == "invalid" else days[-2]]
     text = _returns_text(bad, values)
-    assert _parse_plain(text, "return", calendar) is None
+    assert _parse_plain(text.encode(), "return", calendar) is None
     with pytest.raises(InputError, match=f"^x: line {len(days) + 1}: ") as alone:
         _row_loop(text, "return", "x")
     with pytest.raises(InputError, match=f"^{re.escape(str(alone.value))}$"):
-        _parse(text, "return", "x", calendar)
+        _parse(text.encode(), "return", "x", lambda: text, calendar)
 
 
-def _read_universe(monkeypatch, texts):
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
-    return list(_read_panel(list(map(Path, texts)), ReturnMethod.LOG))
+def _read_universe(monkeypatch, files):
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", lambda path: files[path.name])
+    return list(_read_panel(list(map(Path, files)), ReturnMethod.LOG))
 
 
-def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
+def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_files):
     # 1,000 price files on one 301-day calendar hold one date-column string
     # between them; each date object alone would cost 32 bytes per row
     tracemalloc.start()
     try:
-        kept = _read_universe(monkeypatch, universe_texts)
+        kept = _read_universe(monkeypatch, universe_files)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -429,7 +429,7 @@ def test_shared_calendar_keeps_one_set_of_dates(monkeypatch, universe_texts):
     assert held <= 4 << 20
 
 
-def test_panel_reader_converts_each_file_alone(monkeypatch, universe_texts):
+def test_panel_reader_converts_each_file_alone(monkeypatch, universe_files):
     # one ReturnSeries and one returns kernel a file, and no PriceSeries; each
     # series owns its read-only returns, not a view of a block or a copy
     calls = collections.Counter()
@@ -443,8 +443,8 @@ def test_panel_reader_converts_each_file_alone(monkeypatch, universe_texts):
     for series_type in (PriceSeries, ReturnSeries):
         monkeypatch.setattr(series_type, "__init__", counted(series_type.__name__, series_type.__init__))
     monkeypatch.setattr(histrisk.ingestion, "_returns", counted("_returns", histrisk.ingestion._returns))
-    kept = _read_universe(monkeypatch, universe_texts)
-    assert [series.asset_id for series in kept] == [name[:-4] for name in universe_texts]
+    kept = _read_universe(monkeypatch, universe_files)
+    assert [series.asset_id for series in kept] == [name[:-4] for name in universe_files]
     assert calls == {"ReturnSeries": 1_000, "_returns": 1_000}
     assert len({id(series.dates._column) for series in kept}) == 1
     assert all(not series.returns.flags.writeable and series.returns.base is None for series in kept)
@@ -464,8 +464,8 @@ def test_panel_reader_keeps_no_previous_calendar(monkeypatch):
     both_differ = first_differs[:-1] + [days[-1] + dt.timedelta(days=1)]
 
     def held(second):
-        texts = {"a.csv": _dated_text("price", days), "b.csv": _dated_text("price", second)}
-        monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
+        files = {"a.csv": _dated_text("price", days).encode(), "b.csv": _dated_text("price", second).encode()}
+        monkeypatch.setattr(histrisk.ingestion, "_read_bytes", lambda path: files[path.name])
         tracemalloc.start()
         try:
             reader = _read_panel([Path("a.csv"), Path("b.csv")], ReturnMethod.LOG)
@@ -494,7 +494,7 @@ def test_calendar_hits_hold_the_first_files_date_column(monkeypatch, method):
         for name, days in (("a", one), ("b", one), ("quoted", one), ("c", one), ("d", two), ("e", two))
     }
     texts["quoted.csv"] = texts["quoted.csv"].replace(",2.0\n", ',"2.0"\n')
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: texts[path.name])
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", lambda path: texts[path.name].encode())
     a, b, quoted, c, d, e = _read_panel(list(map(Path, texts)), method)
     assert quoted.dates._column is None and quoted.dates == a.dates
     assert b.dates._column is a.dates._column and c.dates._column is a.dates._column
@@ -533,13 +533,13 @@ def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, m
     for name, text in PANEL_TEXTS.items():
         (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
     reads = collections.Counter()
-    read_text = histrisk.ingestion._read_text
+    read_bytes = histrisk.ingestion._read_bytes
 
     def counted(path):
         reads[path.stem] += 1
-        return read_text(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", counted)
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", counted)
     paths = [tmp_path / f"{name}.csv" for name in files]
     if message is None:
         assert [series.asset_id for series in list(_read_panel(paths, ReturnMethod.LOG))] == list(files)
@@ -550,19 +550,104 @@ def test_panel_reader_reads_each_file_once(tmp_path, monkeypatch, files, read, m
 
 
 def test_panel_reader_reads_the_paths_it_is_given(tmp_path, monkeypatch):
-    # the caller's Path objects themselves reach _read_text, plain or read alone: the reader wraps none again
+    # the caller's Path objects themselves reach _read_bytes, plain or read alone: the reader wraps none again
     paths = [tmp_path / f"{name}.csv" for name in ("a", "quoted", "b")]
     for path in paths:
         path.write_text(PANEL_TEXTS[path.stem], encoding="utf-8")
-    read, read_text = [], histrisk.ingestion._read_text
+    read, read_bytes = [], histrisk.ingestion._read_bytes
 
     def recorded(path):
         read.append(path)
-        return read_text(path)
+        return read_bytes(path)
 
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", recorded)
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", recorded)
     assert [series.asset_id for series in list(_read_panel(paths, ReturnMethod.LOG))] == ["a", "quoted", "b"]
     assert len(read) == len(paths) and all(seen is given for seen, given in zip(read, paths))
+
+
+def test_panel_reader_holds_a_file_as_bytes_alone(tmp_path):
+    # the reader parses a plain file from the bytes it read and decodes only each chunk's date cells, so above the
+    # series it yields it peaks at those bytes, the joined date pieces, 11 bytes a row, and one chunk's cells; a
+    # decoded copy of the file beside its bytes would add the file's size again
+    rows = 50_000
+    start = dt.date(1900, 1, 1)
+    values = np.random.default_rng(38).normal(0.0, 0.01, rows).tolist()
+    data = ("date,return\n" + "".join(
+        f"{start + dt.timedelta(days=i)},{value:.20e}\n" for i, value in enumerate(values)
+    )).encode()
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        series = next(_read_panel([path], None))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.dates._column is not None and series.returns.tolist() == values
+    budget = len(data) + 11 * rows + 160 * 1024
+    assert peak - held <= budget, f"the read peaked {(peak - held) / 1024:.0f} KiB above its series"
+
+
+def test_panel_reader_takes_line_ends_and_byte_order_marks_off_the_bytes(tmp_path):
+    # universal newlines and leading byte-order marks are handled on the bytes, so these files are plain: each
+    # holds the first file's date column itself
+    variants = {
+        "lf": PANEL_TEXT,
+        "crlf": PANEL_TEXT.replace("\n", "\r\n"),
+        "cr": PANEL_TEXT.replace("\n", "\r"),
+        "bom": "\ufeff" + PANEL_TEXT,
+        "boms-crlf": "\ufeff\ufeff" + PANEL_TEXT.replace("\n", "\r\n"),
+    }
+    paths = []
+    for name, text in variants.items():
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(text.encode())
+    first, *rest = _read_panel(paths, ReturnMethod.LOG)
+    assert first.dates._column is not None
+    for series in rest:
+        assert series.dates._column is first.dates._column
+        assert series.returns.tobytes() == first.returns.tobytes()
+
+
+def test_panel_reader_reads_unicode_values_as_the_row_loop(tmp_path):
+    # float refuses a fullwidth digit or a no-break space as UTF-8 bytes; the chunk's value cells are read from
+    # their text, as the row loop reads them, and the file stays plain
+    text = PANEL_TEXT.replace("1.0", "１２").replace("3.0", "\xa03.5")
+    paths = [tmp_path / "a.csv", tmp_path / "wide.csv"]
+    paths[0].write_text(PANEL_TEXT, encoding="utf-8")
+    paths[1].write_text(text, encoding="utf-8")
+    first, wide = _read_panel(paths, ReturnMethod.LOG)
+    dates, prices = _row_loop(text, "price", "wide")
+    assert wide.dates._column is first.dates._column and wide.dates == dates[1:]
+    assert wide.returns.tobytes() == np.log(prices[1:] / prices[:-1]).tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    b"date,price\n2020-01-01,1.0\n2020-01-02,2.\xff\n",
+    b"date,price\n2020-01-01,1.0\r\n2020-01-02,\xc3\n",
+    b"date,price\n2020-01-01,1.0\n2020-\xe2\x80-02,2.0\n",
+    b"\xef\xbb\xbfdate,pr\xffice\r2020-01-01,1.0\r2020-01-02,2.0\r",
+    b"date,price\n2020-01-01,1.0\n2020-01-02,\xed\xa0\x80\n",
+], ids=["value", "truncated-crlf", "date", "header-cr", "surrogate"])
+def test_panel_reader_names_the_line_of_a_byte_that_does_not_decode(tmp_path, monkeypatch, data):
+    # the fast path takes no file that is not UTF-8; the reader decodes the bytes it read, as read, and raises
+    # the line-numbered error a read of that file alone raises, before any later file is read
+    for name, contents in (("a", PANEL_TEXT.encode()), ("bad", data), ("c", PANEL_TEXT.encode())):
+        (tmp_path / f"{name}.csv").write_bytes(contents)
+    with pytest.raises(InputError) as alone:
+        histrisk.ingestion._read_text(tmp_path / "bad.csv")
+    assert re.match(rf"^{re.escape(str(tmp_path / 'bad.csv'))}: line [0-9]+: 'utf-8' codec can't decode", str(alone.value))
+    reads = collections.Counter()
+    read_bytes = histrisk.ingestion._read_bytes
+
+    def counted(path):
+        reads[path.stem] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", counted)
+    with pytest.raises(InputError, match=f"^{re.escape(str(alone.value))}$"):
+        list(_read_panel([tmp_path / f"{name}.csv" for name in ("a", "bad", "c")], ReturnMethod.LOG))
+    assert reads == {"a": 1, "bad": 1}
 
 
 def test_panel_reader_parses_each_file_once(monkeypatch):
@@ -579,7 +664,7 @@ def test_panel_reader_parses_each_file_once(monkeypatch):
 
     monkeypatch.setattr(histrisk.ingestion, "_parse_plain", counted("_parse_plain", parse_plain))
     monkeypatch.setattr(histrisk.ingestion._Dates, "__init__", counted("_Dates", dates_init))
-    monkeypatch.setattr(histrisk.ingestion, "_read_text", lambda path: PANEL_TEXTS[path.stem])
+    monkeypatch.setattr(histrisk.ingestion, "_read_bytes", lambda path: PANEL_TEXTS[path.stem].encode())
     paths = [Path(f"{name}.csv") for name in ("a", "quoted", "c")]
     assert [series.asset_id for series in _read_panel(paths, ReturnMethod.LOG)] == ["a", "quoted", "c"]
     assert calls == {"_parse_plain": 3}

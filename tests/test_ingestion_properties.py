@@ -117,7 +117,7 @@ def _fast(text, column):
 
     The fast path takes only what the series type accepts, so building the series raises nothing.
     """
-    plain = _parse_plain(text, column, "")
+    plain = _parse_plain(text.encode("utf-8", "surrogatepass"), column, "")
     return None if plain is None else PARSERS[column][1]("x", *plain)
 
 
@@ -230,13 +230,17 @@ def _names(texts):
 
 
 def _alone(column, texts, method):
-    """The series each file gives alone through the public functions, up to the type and text of the first error."""
+    """The series each file gives alone through the public functions, up to the type and text of the first error.
+
+    Each text is taken as ``Path.read_text`` reads a file of its UTF-8 bytes, universal newlines included.
+    """
     series = []
     for name, text in zip(_names(texts), texts):
         asset_id = name[:-4]
         try:
             if text is None:
                 raise InputError(f"{asset_id}: line 1: unreadable")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
             if column == "price":
                 series.append(to_returns(parse_prices(text, asset_id), method))
             else:
@@ -247,15 +251,16 @@ def _alone(column, texts, method):
 
 
 def _panel(column, texts, method):
-    """The series ``_read_panel`` gives of ``texts``, or None and the type and text of its error."""
+    """The series ``_read_panel`` gives of the UTF-8 files of ``texts``, or None and the type and text of its
+    error."""
     by_name = dict(zip(_names(texts), texts))
 
-    def read_text(path):
+    def read_bytes(path):
         if by_name[path.name] is None:
             raise InputError(f"{path.stem}: line 1: unreadable")
-        return by_name[path.name]
+        return by_name[path.name].encode()
 
-    with mock.patch.object(ingestion, "_read_text", read_text):
+    with mock.patch.object(ingestion, "_read_bytes", read_bytes):
         try:
             return list(_read_panel(list(map(Path, _names(texts))), method if column == "price" else None)), None
         except (InputError, csv.Error) as exc:
@@ -310,9 +315,9 @@ def test_shared_calendar_matches_row_loop(panel, chunk_chars, method):
             outcome = _outcome(_public, text, column)
             assert outcome == _outcome(_row_loop_alone, text, column)
             if isinstance(outcome[0], str):  # rejected: the type refuses it, so the fast path turns it away
-                assert _parse_plain(text, column, calendar) is None
+                assert _parse_plain(text.encode(), column, calendar) is None
                 continue
-            read, values = _parse_plain(text, column, calendar)
+            read, values = _parse_plain(text.encode(), column, calendar)
             assert (read, values.tolist()) == outcome
             if read._column == calendar:
                 assert read._column is calendar
@@ -413,9 +418,9 @@ def test_text_date_checks_leave_the_row_loop_message(monkeypatch, case, message)
     *before, text = TEXT_CHECKS[case]
     calendar = ""
     for earlier in before:
-        read, _ = _parse_plain(earlier, "return", calendar)
+        read, _ = _parse_plain(earlier.encode(), "return", calendar)
         calendar = read._column
-    assert _parse_plain(text, "return", calendar) is None
+    assert _parse_plain(text.encode(), "return", calendar) is None
     assert calendar == "" or read._dates is None
     with pytest.raises(InputError, match=f"^x: {re.escape(message)}$"):
         parse_returns(text, "x")
@@ -425,8 +430,8 @@ def test_partial_calendar_hit_builds_no_dates(monkeypatch):
     # a file that leaves the calendar after its first dates neither copies nor builds the calendar's dates
     monkeypatch.setattr(ingestion, "_CHUNK_CHARS", 12)
     first, second = _iso(CALENDAR, CALENDAR[:2] + ("2019-03-05", "2019-03-06"))
-    calendar, _ = _parse_plain(first, "return", "")
-    read, _ = _parse_plain(second, "return", calendar._column)
+    calendar, _ = _parse_plain(first.encode(), "return", "")
+    read, _ = _parse_plain(second.encode(), "return", calendar._column)
     assert calendar._dates is None and read._dates is None
     assert read._column == "2019-02-26,2019-02-27,2019-03-05,2019-03-06"
     assert read == tuple(map(dt.date.fromisoformat, CALENDAR[:2] + ("2019-03-05", "2019-03-06")))
@@ -435,8 +440,8 @@ def test_partial_calendar_hit_builds_no_dates(monkeypatch):
 def test_shared_calendar_keeps_the_date_prefix_check():
     # the trap's even cells are exactly the calendar 2020-01-01, 2020-01-02 and
     # its commas match its newlines; only the line-prefix check turns it away
-    calendar, _ = _parse_plain("date,return\n2020-01-01,1\n2020-01-02,2\n", "return", "")
+    calendar, _ = _parse_plain(b"date,return\n2020-01-01,1\n2020-01-02,2\n", "return", "")
     trap = "date,return\n2020-01-01\n5,2020-01-02,7\n"
-    assert _parse_plain(trap, "return", calendar._column) is None
+    assert _parse_plain(trap.encode(), "return", calendar._column) is None
     with pytest.raises(InputError, match="^x: line 2: expected 2 fields, got 1$"):
         parse_returns(trap, "x")

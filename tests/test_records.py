@@ -247,3 +247,39 @@ def test_copies_are_checked_again(name, how):
     values[1] = np.nan
     with pytest.raises(InputError, match="finite"):
         COPIES[how](record)
+
+
+THREE_DAYS = DAYS + (dt.date(2020, 1, 3),)
+
+# each array record, built twice from one set of values, then with other values and with another length
+BY_VALUE = {
+    "Sample": (lambda: Sample([1.0, 2.0]), Sample([1.0, 3.0]), Sample([1.0, 2.0, 3.0])),
+    "PriceSeries": (
+        lambda: PriceSeries("a", DAYS, [1.0, 2.0]),
+        PriceSeries("a", DAYS, [1.0, 3.0]),
+        PriceSeries("a", THREE_DAYS, [1.0, 2.0, 3.0]),
+    ),
+    "ReturnSeries": (
+        lambda: parse_returns("date,return\n2020-01-01,0.5\n2020-01-02,-0.5\n", "a"),
+        ReturnSeries("a", DAYS, [0.5, 0.25]),
+        ReturnSeries("a", THREE_DAYS, [0.5, -0.5, 0.0]),
+    ),
+    "DiscreteDistribution": (
+        lambda: DiscreteDistribution([1.0, -1.0], [0.5, 0.5]),
+        DiscreteDistribution([1.0, -1.0], [0.25, 0.75]),
+        DiscreteDistribution([1.0, -1.0, 0.0], [0.5, 0.25, 0.25]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_records_holding_arrays_compare_by_value(name):
+    # equal values in distinct arrays compare equal, where a tuple of the fields would ask an array for its truth
+    make, other_values, other_length = BY_VALUE[name]
+    record, again = make(), make()
+    assert all(getattr(record, field) is not getattr(again, field) for field in ARRAY_RECORDS[name])
+    assert record == again and not record != again
+    if name == "ReturnSeries":  # dates read as a file's date column, against dates given as objects
+        assert record == ReturnSeries("a", DAYS, [0.5, -0.5])
+    for other in (other_values, other_length):
+        assert record != other and not record == other and other != record
